@@ -9,25 +9,23 @@ from .initdata import PRESET_NAMES
 
 
 def _load_config(args) -> harness.RunConfig:
-    raw = {}
     if args.config:
-        with open(args.config) as fh:
-            text = fh.read()
-        cfg = harness.parse_config(text)
-        raw = None
-    else:
-        if not args.preset:
-            raise harness.ConfigError(["either --config or --preset is required"])
-        raw = {"preset": args.preset}
-    if raw is not None:
-        for item in args.override or []:
-            key, _, value = item.partition("=")
-            raw[key.strip()] = value.strip()
-        cfg = harness.config_from_mapping(raw)
-    elif args.override:
-        raise harness.ConfigError(
-            ["--override with --config is not supported; edit the config"])
-    return cfg
+        if args.override:
+            raise harness.ConfigError(
+                ["--override with --config is not supported; edit the config"])
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise harness.ConfigError([f"cannot read {args.config}: {exc}"])
+        return harness.parse_config(text)
+    if not args.preset:
+        raise harness.ConfigError(["either --config or --preset is required"])
+    raw = {"preset": args.preset}
+    for item in args.override or []:
+        key, _, value = item.partition("=")
+        raw[key.strip()] = value
+    return harness.config_from_mapping(raw)
 
 
 def main(argv=None) -> int:

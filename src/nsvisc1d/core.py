@@ -45,6 +45,9 @@ class Params:
     n_reg: float = math.inf
 
     def __post_init__(self):
+        for name in ("mu", "alpha", "a", "gamma", "rho_bar", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if self.alpha < 0:
@@ -88,6 +91,8 @@ class Grid1D:
     def __post_init__(self):
         if self.cells < 4:
             raise ValueError("need at least 4 cells")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("domain bounds must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("empty domain")
         if self.ghost < 2:

@@ -1,6 +1,6 @@
 """Per-snapshot and per-trajectory functionals: mass and L1 momenta, the
 entropy pair, total variation, the density-gradient regularization probe,
-the Gronwall envelope, and the entropy dissipation budget.
+the Gronwall sup bound and envelope, and the BD dissipation rate.
 
 Integrals use the midpoint rule on cell centers; time accumulations use the
 trapezoid rule.
@@ -21,7 +21,6 @@ from .core import (
     pi_rel,
     powf,
     to_effective,
-    viscosity,
 )
 
 
@@ -119,23 +118,15 @@ def gronwall_sup_bound(rho: np.ndarray, p: Params) -> float:
 def gronwall_envelope(traj, p: Params, tol: float = 0.05):
     """Exponential L1-momentum envelope along a trajectory.
 
-    Returns (envelope array, verdict). The envelope is
-    (|rho v(0)|_1 + |rho u(0)|_1) * exp(3 * int_0^t sup-bound ds) with the
-    integral accumulated by the trapezoid rule over snapshots; the verdict is
-    True when the measured |rho u|_1 + |rho v|_1 stays below envelope*(1+tol)
-    at every snapshot."""
-    records = [r for _, r in traj.snapshots]
-    if len(records) < 1:
+    Returns (envelope array, verdict). The envelope is each snapshot's
+    `gronwall_rhs`, which `solver.run` accumulates per step as
+    (|rho v(0)|_1 + |rho u(0)|_1) * exp(3 * int_0^t sup-bound ds); `p` is
+    unused and kept for callers. The verdict is True when the measured
+    |rho u|_1 + |rho v|_1 stays below envelope*(1+tol) at every snapshot."""
+    records = traj.records
+    if not records:
         raise ValueError("trajectory has no snapshots")
-    sups = [gronwall_sup_bound(s.rho, p) for s, _ in traj.snapshots]
-    times = [r.t for r in records]
-    base = records[0].l1_rhou + records[0].l1_rhov
-    env = np.empty(len(records))
-    acc = 0.0
-    env[0] = base
-    for k in range(1, len(records)):
-        acc += 0.5 * (sups[k - 1] + sups[k]) * (times[k] - times[k - 1])
-        env[k] = base * math.exp(3.0 * acc)
+    env = np.array([r.gronwall_rhs for r in records])
     verdict = all(
         r.l1_rhou + r.l1_rhov <= e * (1.0 + tol) + 1e-12
         for r, e in zip(records, env))
@@ -158,29 +149,6 @@ def bd_dissipation_rate(rho: np.ndarray, g: Grid1D, p: Params) -> float:
     if p.has_reg_term:
         out += term(1.0 / p.n_reg, p.theta)
     return out
-
-
-def dissipation_budget(traj, g: Grid1D, p: Params):
-    """(accumulated dissipation, residual) per snapshot.
-
-    The exact balance of the reformulated system is
-
-        d/dt [ 0.5*int(rho v**2) + int(Pi(rho)-Pi(rho_bar)) ] = -dissipation,
-
-    with full (not halved) weight on the potential term: the pressure work
-    -int(d_x P * v) produced by the relaxation term cancels against the
-    transport part of the potential, while the density diffusion contributes
-    the dissipation integral.  residual(t) = balance(t) + dissipation(t)
-    - balance(0) is therefore zero up to scheme error and shrinks under
-    refinement."""
-    diss = np.array([r.dissipation_bd for _, r in traj.snapshots])
-    balance = np.empty(len(diss))
-    for k, (s, _) in enumerate(traj.snapshots):
-        v = to_effective(s, g, p).w / s.rho
-        balance[k] = float(
-            np.sum(0.5 * s.rho * v * v + pi_rel(s.rho, p)) * g.dx)
-    residual = balance + diss - balance[0]
-    return diss, residual
 
 
 def compute_record(s: State, g: Grid1D, p: Params, *, jump_x0: float = 0.0,

@@ -7,7 +7,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,17 @@ class StudySpec:
     dx_refinement: tuple = ()
     n_sequence: tuple = ()
 
+    def __post_init__(self):
+        cells = self.dx_refinement
+        if cells and (cells[0] < 4 or any(
+                fine <= coarse or fine % coarse
+                for coarse, fine in zip(cells, cells[1:]))):
+            raise ValueError("dx_refinement cell counts must be at least 4 "
+                             "and strictly increasing, each a multiple of "
+                             "the one before")
+        if not all(n == math.inf or n >= 1 for n in self.n_sequence):
+            raise ValueError("n_sequence entries must be >= 1 or inf")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -53,6 +64,14 @@ class RunConfig:
     study: StudySpec = StudySpec()
     jump_x0: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError("t_end must be positive and finite")
+        if not (math.isfinite(self.record_every) and self.record_every >= 0):
+            raise ValueError("record_every must be nonnegative and finite")
+        if not self.grid.x_min <= self.jump_x0 <= self.grid.x_max:
+            raise ValueError("jump_x0 must lie in [grid.x_min, grid.x_max]")
+
     @property
     def params(self) -> Params:
         return self.scenario.params
@@ -61,41 +80,89 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # config text format: one `section.key = value` per line, '#' comments
 
-_FLOAT_KEYS = {
-    "params.mu", "params.alpha", "params.a", "params.gamma",
-    "params.rho_bar", "params.theta",
-    "grid.x_min", "grid.x_max",
-    "scheme.cfl_safety",
-    "run.t_end", "run.record_every", "run.jump_x0",
-    "scenario.mollify_tau",
-}
-_INT_KEYS = {"grid.cells", "scheme.max_steps"}
-_STR_KEYS = {
-    "preset", "scenario.kind", "scheme.formulation", "scheme.flux",
-    "scheme.limiter", "scheme.bc", "output.dir",
-    "scenario.v0", "scenario.u0",
-}
-_LIST_KEYS = {
-    "scenario.density_values", "scenario.density_breaks",
-    "scenario.atoms", "study.dx_refinement", "study.n_sequence",
-}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-def _parse_profile(text: str) -> Profile:
-    text = text.strip()
+def _list(item):
+    """Parser of a comma-separated list of `item`s; blank entries are skipped."""
+    return lambda text: tuple(item(v) for v in text.split(",") if v.strip())
+
+
+def _one_of(*names):
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return text
+    return parse
+
+
+def _atoms(text: str) -> tuple:
+    pairs = (pair.split(":") for pair in text.split(";") if pair.strip())
+    return tuple((_finite(x), _finite(mass)) for x, mass in pairs)
+
+
+def _profile(text: str) -> Profile:
     if text == "zero":
         return Profile("zero")
     if text.startswith("gauss:"):
-        center, amp, width = (float(v) for v in text[6:].split(","))
-        return Profile("gauss", center=center, amplitude=amp, width=width)
-    raise ValueError(f"unknown profile {text!r} (expected zero or "
-                     "gauss:center,amplitude,width)")
+        center, amp, width = (_finite(v) for v in text[6:].split(","))
+        if width > 0:
+            return Profile("gauss", center=center, amplitude=amp, width=width)
+    raise ValueError("expected zero or gauss:center,amplitude,width "
+                     "with width > 0")
+
+
+def _tau(text: str) -> float | None:
+    return None if text in ("auto", "grid") else _finite(text)
+
+
+#: Every accepted config key -> (target, field, parser).  The targets are
+#: the preset name, the Params, Grid1D, ScenarioSpec, SchemeConfig and
+#: StudySpec fields, and RunConfig's own fields ("run").
+CONFIG_KEYS = {
+    "preset": ("preset", "name", _one_of(*PRESET_NAMES)),
+    "params.mu": ("params", "mu", float),
+    "params.alpha": ("params", "alpha", float),
+    "params.a": ("params", "a", float),
+    "params.gamma": ("params", "gamma", float),
+    "params.rho_bar": ("params", "rho_bar", float),
+    "params.theta": ("params", "theta", float),
+    "params.n_reg": ("params", "n_reg", float),
+    "grid.x_min": ("grid", "x_min", float),
+    "grid.x_max": ("grid", "x_max", float),
+    "grid.cells": ("grid", "cells", int),
+    "scenario.kind": ("scenario", "kind", str),
+    "scenario.density_values": ("scenario", "density_values", _list(_finite)),
+    "scenario.density_breaks": ("scenario", "density_breaks", _list(_finite)),
+    "scenario.atoms": ("scenario", "momentum_atoms", _atoms),
+    "scenario.v0": ("scenario", "v0", _profile),
+    "scenario.u0": ("scenario", "u0", _profile),
+    "scenario.mollify_tau": ("scenario", "mollify_tau", _tau),
+    "scheme.formulation": ("scheme", "formulation", str),
+    "scheme.cfl_safety": ("scheme", "cfl_safety", float),
+    "scheme.flux": ("scheme", "flux", str),
+    # SchemeConfig leaves the limiter to _slopes, which checks it only at
+    # the first step
+    "scheme.limiter": ("scheme", "limiter", _one_of("mc", "minmod", "none")),
+    "scheme.max_steps": ("scheme", "max_steps", int),
+    "scheme.bc": ("scheme", "bc", str),
+    "run.t_end": ("run", "t_end", float),
+    "run.record_every": ("run", "record_every", float),
+    "run.jump_x0": ("run", "jump_x0", float),
+    "output.dir": ("run", "output_dir", str),
+    "study.dx_refinement": ("study", "dx_refinement", _list(int)),
+    "study.n_sequence": ("study", "n_sequence", _list(float)),
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the flat key-value config format; raises
-    ConfigError listing every offending field."""
+    ConfigError listing every offending line or field."""
     raw = {}
     errors = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -106,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: expected 'key = value'")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         raw[key] = value
@@ -116,127 +183,50 @@ def parse_config(text: str) -> RunConfig:
 
 
 def config_from_mapping(raw: dict) -> RunConfig:
+    """Build a RunConfig from `key -> value text` pairs over the preset's
+    defaults (or the built-in ones without a preset); raises ConfigError
+    listing every offending key and field."""
     errors = []
-
-    def take(key, default=None):
-        if key not in raw:
-            return default
-        value = raw.pop(key)
+    fields = {target: {} for target, _, _ in CONFIG_KEYS.values()}
+    for key, text in raw.items():
+        if key not in CONFIG_KEYS:
+            errors.append(f"unknown key {key!r}")
+            continue
+        target, name, parse = CONFIG_KEYS[key]
+        text = str(text).strip()
         try:
-            if key in _FLOAT_KEYS:
-                if key == "scenario.mollify_tau" and value in ("auto", "grid"):
-                    return None
-                return float(value)
-            if key in _INT_KEYS:
-                return int(value)
-            return value
-        except ValueError:
-            errors.append(f"{key}: cannot parse {value!r}")
+            fields[target][name] = parse(text)
+        except ValueError as exc:
+            errors.append(f"{key}: cannot parse {text!r}: {exc}")
+
+    def build(label, default):
+        try:
+            return replace(default, **fields[label])
+        except ValueError as exc:
+            errors.append(f"{label}: {exc}")
             return default
 
-    preset = take("preset")
-    if preset is not None and preset not in PRESET_NAMES:
-        errors.append(f"preset: unknown name {preset!r} "
-                      f"(choose from {', '.join(PRESET_NAMES)})")
-        preset = None
-
+    preset = fields["preset"].get("name")
     base = preset_scenario(preset) if preset else None
-    pdef = base.params if base else Params()
-    pkw = {}
-    for name, cur in (("mu", pdef.mu), ("alpha", pdef.alpha), ("a", pdef.a),
-                      ("gamma", pdef.gamma), ("rho_bar", pdef.rho_bar),
-                      ("theta", pdef.theta)):
-        pkw[name] = take(f"params.{name}", cur)
-    n_raw = raw.pop("params.n_reg", None)
-    pkw["n_reg"] = math.inf if n_raw in (None, "inf") else float(n_raw)
-    try:
-        params = Params(**pkw)
-    except ValueError as exc:
-        errors.append(f"params: {exc}")
-        params = Params()
-
-    try:
-        grid = Grid1D(x_min=take("grid.x_min", -20.0),
-                      x_max=take("grid.x_max", 20.0),
-                      cells=take("grid.cells", 1024))
-    except ValueError as exc:
-        errors.append(f"grid: {exc}")
-        grid = Grid1D(-20.0, 20.0, 1024)
-
-    kind = take("scenario.kind", base.kind if base else "custom")
-    dv = take("scenario.density_values")
-    db = take("scenario.density_breaks")
-    atoms_raw = take("scenario.atoms")
-    v0_raw = take("scenario.v0")
-    u0_raw = take("scenario.u0")
-    tau = take("scenario.mollify_tau", base.mollify_tau if base else None)
-
-    try:
-        v0 = _parse_profile(v0_raw) if v0_raw else (base.v0 if base else Profile("zero"))
-        u0 = _parse_profile(u0_raw) if u0_raw else (base.u0 if base else Profile("zero"))
-    except ValueError as exc:
-        errors.append(f"scenario profile: {exc}")
-        v0 = u0 = Profile("zero")
-
-    def floats(text):
-        return tuple(float(v) for v in text.split(",") if v.strip())
-
-    density_values = floats(dv) if dv else (base.density_values if base
-                                            else (params.rho_bar,))
-    density_breaks = floats(db) if db else (base.density_breaks if base else ())
-    if atoms_raw:
-        atoms = tuple(tuple(float(v) for v in pair.split(":"))
-                      for pair in atoms_raw.split(";") if pair.strip())
-    else:
-        atoms = base.momentum_atoms if base else ()
-
-    scenario = ScenarioSpec(kind=kind, params=params,
-                            density_breaks=density_breaks,
-                            density_values=density_values,
-                            v0=v0, u0=u0, momentum_atoms=atoms,
-                            mollify_tau=tau)
+    params = build("params", base.params if base else Params())
+    grid = build("grid", Grid1D(-20.0, 20.0, 1024))
+    scheme = build("scheme", SchemeConfig())
+    study = build("study", StudySpec())
+    # without a preset the density defaults to the (overridden) rho_bar
+    scenario = replace(base or ScenarioSpec("custom", params,
+                                            density_values=(params.rho_bar,)),
+                       params=params, **fields["scenario"])
     try:
         scenario.validate()
     except ScenarioValidationError as exc:
         errors.extend(exc.violations)
-
     try:
-        scheme = SchemeConfig(
-            formulation=take("scheme.formulation", "primitive"),
-            cfl_safety=take("scheme.cfl_safety", 0.4),
-            flux=take("scheme.flux", "rusanov"),
-            limiter=take("scheme.limiter", "mc"),
-            max_steps=take("scheme.max_steps", 5_000_000),
-            bc=take("scheme.bc", "farfield"))
+        cfg = RunConfig(scenario, grid, scheme, study=study, **fields["run"])
     except ValueError as exc:
-        errors.append(f"scheme: {exc}")
-        scheme = SchemeConfig()
-
-    t_end = take("run.t_end", 0.02)
-    record_every = take("run.record_every", 0.002)
-    jump_x0 = take("run.jump_x0", 0.0)
-    output_dir = take("output.dir", "out")
-
-    dx_list = raw.pop("study.dx_refinement", None)
-    n_list = raw.pop("study.n_sequence", None)
-    dx_ref = tuple(int(v) for v in dx_list.split(",")) if dx_list else ()
-    if dx_ref and list(dx_ref) != sorted(set(dx_ref)):
-        errors.append("study.dx_refinement cell counts must be strictly increasing")
-    n_seq = ()
-    if n_list:
-        n_seq = tuple(math.inf if v.strip() == "inf" else float(v)
-                      for v in n_list.split(","))
-    if t_end is not None and t_end <= 0:
-        errors.append("run.t_end must be positive")
-
-    for key in raw:
-        errors.append(f"unknown key {key!r}")
+        errors.append(f"run: {exc}")
     if errors:
         raise ConfigError(errors)
-    return RunConfig(scenario=scenario, grid=grid, scheme=scheme,
-                     t_end=t_end, record_every=record_every,
-                     output_dir=output_dir,
-                     study=StudySpec(dx_ref, n_seq), jump_x0=jump_x0)
+    return cfg
 
 
 def preset_config(name: str, **overrides) -> RunConfig:

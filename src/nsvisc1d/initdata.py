@@ -15,7 +15,6 @@ from .core import (
     Params,
     State,
     centered_gradient,
-    pad_field,
     phi1,
 )
 
@@ -213,7 +212,7 @@ def build_scenario(spec: ScenarioSpec, g: Grid1D,
     tau = spec.resolved_tau(g)
 
     rho0 = piecewise_density(spec.density_breaks, spec.density_values, g)
-    grad_phi1 = _edge_gradient(phi1(rho0, p), g)
+    grad_phi1 = centered_gradient(phi1(rho0, p), g, mode="edge")
 
     if spec.kind in ("theo1-strong-coupling", "theo2-constant-visc"):
         v0 = spec.v0.sample(x)
@@ -259,11 +258,6 @@ def build_scenario(spec: ScenarioSpec, g: Grid1D,
                                 boundary=float(phi1(p.rho_bar, p)))
     eff = EffectiveState(rho0.copy(), w0, 0.0)
     return BuiltScenario(state, eff, smallness, warnings)
-
-
-def _edge_gradient(f: np.ndarray, g: Grid1D) -> np.ndarray:
-    ext = pad_field(f, 1, mode="edge")
-    return (ext[2:] - ext[:-2]) / (2.0 * g.dx)
 
 
 # ---------------------------------------------------------------------------

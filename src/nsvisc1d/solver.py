@@ -21,6 +21,7 @@ from .core import (
     Params,
     State,
     VacuumError,
+    centered_gradient,
     from_effective,
     pad_field,
     phi,
@@ -95,10 +96,8 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
     speed = np.abs(mom / rho)
     if isinstance(s, EffectiveState):
         # the drift carries v while convection carries u = v - d_x phi(rho)
-        grad_phi = np.empty_like(rho)
-        ext = pad_field(phi(rho, p), 1, mode=cfg.bc,
-                        left=float(phi(p.rho_bar, p)))
-        grad_phi[:] = (ext[2:] - ext[:-2]) / (2.0 * g.dx)
+        grad_phi = centered_gradient(phi(rho, p), g, mode=cfg.bc,
+                                     boundary=float(phi(p.rho_bar, p)))
         speed = np.maximum(speed, np.abs(mom / rho - grad_phi))
     adv = g.dx / np.max(speed + sound_speed(rho, p))
     diff = 0.5 * g.dx ** 2 * np.min(rho / viscosity(rho, p))
@@ -240,8 +239,11 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
         jump_window: int = 32) -> Trajectory:
     """Advance to t_end with CFL-controlled steps, recording diagnostics
     snapshots at the requested cadence plus the first and last states."""
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError("t_end must be nonnegative and finite")
+    if record_every is not None and not (math.isfinite(record_every)
+                                         and record_every >= 0):
+        raise ValueError("record_every must be nonnegative and finite")
     is_effective = isinstance(initial, EffectiveState)
     state = initial.copy()
     traj = Trajectory()

@@ -44,6 +44,9 @@ def test_params_defaults_and_properties():
     {"mu": 0.0}, {"mu": -1.0}, {"alpha": -0.5}, {"a": 0.0},
     {"gamma": 1.0}, {"gamma": 0.9}, {"rho_bar": 0.0},
     {"theta": 0.5}, {"theta": -0.1}, {"n_reg": 0.5},
+    {"mu": math.nan}, {"mu": math.inf}, {"alpha": math.inf},
+    {"a": math.inf}, {"gamma": math.nan}, {"rho_bar": math.inf},
+    {"theta": math.nan}, {"n_reg": math.nan},
 ])
 def test_params_validation(kw):
     with pytest.raises(ValueError):
@@ -72,6 +75,9 @@ def test_grid_basic():
         Grid1D(1.0, 0.0, 8)
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 8, ghost=1)
+    for lo, hi in ((0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            Grid1D(lo, hi, 8)
 
 
 def test_state_shape_mismatch():

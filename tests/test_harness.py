@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsvisc1d import cli, harness
 from nsvisc1d.diagnostics import DiagnosticsRecord
 from nsvisc1d.harness import (
+    CONFIG_KEYS,
     EXIT_OK,
     EXIT_VALIDATION,
     ConfigError,
@@ -107,6 +110,84 @@ def test_preset_config_defaults():
         assert cfg.scheme.formulation == "primitive"
         assert cfg.t_end == 0.02
         assert cfg.grid.x_min == -20.0 and cfg.grid.x_max == 20.0
+
+
+# characters a config-file value can hold: no comment or key-value marker
+# and no line boundary that str.splitlines() knows
+_LINE_SAFE = st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters="#=\n\r\x0b\x0c\x1c\x1d\x1e"
+                                                "\x85\u2028\u2029")
+_VALUES = st.one_of(
+    st.text(_LINE_SAFE, max_size=12),
+    st.sampled_from(["theo1", "hoff", "1", "0", "-1", " 2.5 ", "inf", "nan",
+                     "320", "4.5", "1,2,1", "0,8", "0:0.1", "0:x", "auto",
+                     "gauss:0,0.1,1", "zero", "effective", "periodic", "mc",
+                     "8,16,inf", "320,640", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS)), _VALUES),
+       st.one_of(st.none(), st.tuples(
+           st.text(_LINE_SAFE, min_size=1, max_size=12).filter(
+               lambda k: k.strip() not in CONFIG_KEYS),
+           _VALUES)))
+def test_config_schema_property(mapping, unknown):
+    """Any mapping either builds a RunConfig or raises ConfigError, and the
+    config-file text of the same mapping gives the same outcome."""
+    if unknown is not None:
+        mapping = {**mapping, unknown[0]: unknown[1]}
+    try:
+        expected = config_from_mapping(dict(mapping))
+    except ConfigError as exc:
+        expected = exc
+    text = "\n".join(f"{key} = {value}" for key, value in mapping.items())
+    try:
+        got = parse_config(text)
+    except ConfigError as exc:
+        got = exc
+    if isinstance(expected, ConfigError):
+        assert isinstance(got, ConfigError)
+        if unknown is None:
+            assert got.errors == expected.errors
+    else:
+        assert unknown is None and got == expected
+
+
+def test_config_file_accepts_every_override_key():
+    cfg = parse_config("preset = theo1\nparams.n_reg = 8\n")
+    assert cfg == preset_config("theo1", **{"params.n_reg": "8"})
+    assert cfg.params.n_reg == 8.0
+
+
+@pytest.mark.parametrize("override", [
+    "params.n_reg=abc", "study.n_sequence=8,x", "study.dx_refinement=64,x",
+    "scenario.density_values=1,a,1", "scenario.atoms=0:x", "params.mu=nan",
+    "params.mu=inf", "grid.x_max=nan", "run.t_end=nan",
+    "run.record_every=-1", "study.dx_refinement=320,500",
+    "study.n_sequence=0.5,inf", "scheme.limiter=superbee",
+    "run.jump_x0=100", "scenario.u0=gauss:0,0.1,0",
+])
+def test_cli_bad_value_exits_2(override, tmp_path, capsys):
+    code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
+                     "--override", override])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.startswith(f"config error: {override.split('.')[0]}")
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    code = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
+    assert code == EXIT_VALIDATION
+    assert "config error: cannot read" in capsys.readouterr().err
+
+
+def test_cli_override_with_config_rejected(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(VALID_CONFIG)
+    code = cli.main(["run", "--config", str(cfg_file),
+                     "--override", "grid.cells=64"])
+    assert code == EXIT_VALIDATION
+    assert "--override with --config" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

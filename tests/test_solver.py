@@ -1,6 +1,8 @@
 """Unit tests for the time steppers: CFL control, exact structural
 properties (fixed points, translation invariance, mass balance, mirror
 symmetry), failure statuses, and both flux/limiter options."""
+import math
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,13 @@ def test_negative_t_end_rejected():
     g, built = theo1_state()
     with pytest.raises(ValueError):
         run(built.state, -1.0, g, Params(), SchemeConfig())
+    # non-finite end times and negative cadences (which never advance the
+    # next record time) are rejected as well
+    for t_end, every in ((math.nan, None), (math.inf, None),
+                         (0.004, -1.0), (0.004, math.nan)):
+        with pytest.raises(ValueError):
+            run(built.state, t_end, g, Params(), SchemeConfig(),
+                record_every=every)
 
 
 # ---------------------------------------------------------------------------
