@@ -7,6 +7,7 @@ from .core import (
     DomainError,
     EffectiveState,
     Grid1D,
+    NonFiniteStateError,
     Params,
     State,
     UnsupportedExponentError,

@@ -62,6 +62,7 @@ def main(argv=None) -> int:
 
     out = args.out or cfg.output_dir
     try:
+        harness.make_output_dir(out)
         if args.command == "run":
             code = harness.run_scenario(cfg, out)
             if code != harness.EXIT_OK:

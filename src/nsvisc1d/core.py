@@ -25,6 +25,10 @@ class VacuumError(RuntimeError):
     """Density dropped to (or below) the vacuum guard."""
 
 
+class NonFiniteStateError(ValueError):
+    """A state holds a NaN or infinite density or momentum."""
+
+
 @dataclass(frozen=True)
 class Params:
     """Physical and regularization constants.

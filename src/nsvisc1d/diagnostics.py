@@ -20,7 +20,6 @@ from .core import (
     phi1,
     pi_rel,
     powf,
-    to_effective,
 )
 
 
@@ -55,17 +54,14 @@ def mass(s: State, g: Grid1D) -> float:
     return float(np.sum(s.rho) * g.dx)
 
 
-def l1_momenta(s: State, g: Grid1D, p: Params) -> tuple:
-    """(|rho u|_L1, |rho v|_L1); the effective momentum uses the shared
-    centered gradient so that rho*v - rho*u = grad(phi1(rho)) exactly."""
-    w = to_effective(s, g, p).w
+def l1_momenta(s: State, w: np.ndarray, g: Grid1D) -> tuple:
+    """(|rho u|_L1, |rho v|_L1) of the state and its effective momentum w."""
     return (float(np.sum(np.abs(s.m)) * g.dx),
             float(np.sum(np.abs(w)) * g.dx))
 
 
-def bd_entropy(s: State, g: Grid1D, p: Params) -> float:
-    """0.5 * integral(rho*v**2 + relative pressure potential)."""
-    w = to_effective(s, g, p).w
+def bd_entropy(s: State, w: np.ndarray, g: Grid1D, p: Params) -> float:
+    """0.5 * integral(rho*v**2 + relative pressure potential), v = w/rho."""
     v = w / s.rho
     return float(0.5 * np.sum(s.rho * v * v + pi_rel(s.rho, p)) * g.dx)
 
@@ -76,20 +72,25 @@ def energy(s: State, g: Grid1D, p: Params) -> float:
     return float(0.5 * np.sum(s.rho * u * u + pi_rel(s.rho, p)) * g.dx)
 
 
-def total_variation(field: np.ndarray, g: Grid1D | None = None) -> float:
+def total_variation(field: np.ndarray) -> float:
     """Sum of absolute increments; attains the BV supremum for grid functions."""
     return float(np.sum(np.abs(np.diff(field))))
 
 
-def h1_phi1(s: State, g: Grid1D, p: Params) -> float:
+def _face_gradient_sq(f: np.ndarray, g: Grid1D, bc: str, far: float) -> float:
+    """integral |d_x f|**2 over the cell faces (one wrap face if periodic)."""
+    ext = pad_field(f, 1, mode=bc, left=far)
+    d = np.diff(ext[1:] if bc == "periodic" else ext) / g.dx
+    return float(np.sum(d * d) * g.dx)
+
+
+def h1_phi1(s: State, g: Grid1D, p: Params, bc: str) -> float:
     """Discrete L2 norm of d_x phi1(rho), by face (one-sided) differences.
 
     Diverges like dx**-1/2 on a density jump and converges on continuous
     profiles: the measurable form of the regularization dichotomy."""
-    f = pad_field(phi1(s.rho, p), 1, mode="farfield",
-                  left=float(phi1(p.rho_bar, p)))
-    d = np.diff(f) / g.dx
-    return float(math.sqrt(np.sum(d * d) * g.dx))
+    return math.sqrt(_face_gradient_sq(phi1(s.rho, p), g, bc,
+                                       float(phi1(p.rho_bar, p))))
 
 
 def jump_amplitude(rho: np.ndarray, g: Grid1D, x0: float,
@@ -115,14 +116,14 @@ def gronwall_sup_bound(rho: np.ndarray, p: Params) -> float:
     return out
 
 
-def gronwall_envelope(traj, p: Params, tol: float = 0.05):
+def gronwall_envelope(traj, tol: float = 0.05):
     """Exponential L1-momentum envelope along a trajectory.
 
     Returns (envelope array, verdict). The envelope is each snapshot's
     `gronwall_rhs`, which `solver.run` accumulates per step as
-    (|rho v(0)|_1 + |rho u(0)|_1) * exp(3 * int_0^t sup-bound ds); `p` is
-    unused and kept for callers. The verdict is True when the measured
-    |rho u|_1 + |rho v|_1 stays below envelope*(1+tol) at every snapshot."""
+    (|rho v(0)|_1 + |rho u(0)|_1) * exp(3 * int_0^t sup-bound ds). The verdict
+    is True when the measured |rho u|_1 + |rho v|_1 stays below
+    envelope*(1+tol) at every snapshot."""
     records = traj.records
     if not records:
         raise ValueError("trajectory has no snapshots")
@@ -133,17 +134,15 @@ def gronwall_envelope(traj, p: Params, tol: float = 0.05):
     return env, verdict
 
 
-def bd_dissipation_rate(rho: np.ndarray, g: Grid1D, p: Params) -> float:
+def bd_dissipation_rate(rho: np.ndarray, g: Grid1D, p: Params,
+                        bc: str) -> float:
     """Instantaneous entropy dissipation
     (4 a gamma mu / (gamma+alpha-1)**2) * int |d_x rho**((gamma+alpha-1)/2)|**2
     plus the analogous regularization-viscosity term for finite n."""
     def term(coef_mu: float, expo: float) -> float:
         e = 0.5 * (p.gamma + expo - 1.0)
-        f = pad_field(powf(rho, e), 1, mode="farfield",
-                      left=float(p.rho_bar ** e))
-        d = np.diff(f) / g.dx
         return (4.0 * p.a * p.gamma * coef_mu / (p.gamma + expo - 1.0) ** 2) \
-            * float(np.sum(d * d) * g.dx)
+            * _face_gradient_sq(powf(rho, e), g, bc, float(p.rho_bar ** e))
 
     out = term(p.mu, p.alpha)
     if p.has_reg_term:
@@ -151,23 +150,24 @@ def bd_dissipation_rate(rho: np.ndarray, g: Grid1D, p: Params) -> float:
     return out
 
 
-def compute_record(s: State, g: Grid1D, p: Params, *, jump_x0: float = 0.0,
-                   jump_window: int = 32, gronwall_rhs: float = 0.0,
+def compute_record(s: State, w: np.ndarray, g: Grid1D, p: Params, bc: str, *,
+                   jump_x0: float = 0.0, jump_window: int = 32,
+                   gronwall_rhs: float = 0.0,
                    dissipation_bd: float = 0.0) -> DiagnosticsRecord:
-    """Assemble one diagnostics row; the running accumulations are supplied
-    by the time integrator."""
-    l1u, l1v = l1_momenta(s, g, p)
+    """Assemble one diagnostics row from the state, its effective momentum w
+    and the run's boundary rule; the time integrator supplies the rest."""
+    l1u, l1v = l1_momenta(s, w, g)
     return DiagnosticsRecord(
         t=s.t,
         mass=mass(s, g),
         l1_rhou=l1u,
         l1_rhov=l1v,
-        bd_entropy=bd_entropy(s, g, p),
+        bd_entropy=bd_entropy(s, w, g, p),
         energy=energy(s, g, p),
-        tv_rho=total_variation(s.rho, g),
+        tv_rho=total_variation(s.rho),
         rho_max=float(np.max(s.rho)),
         rho_min=float(np.min(s.rho)),
-        h1_phi1=h1_phi1(s, g, p),
+        h1_phi1=h1_phi1(s, g, p, bc),
         jump_amp=jump_amplitude(s.rho, g, jump_x0, jump_window),
         gronwall_rhs=gronwall_rhs,
         dissipation_bd=dissipation_bd,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass, replace
@@ -28,6 +29,8 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -146,9 +149,7 @@ CONFIG_KEYS = {
     "scheme.formulation": ("scheme", "formulation", str),
     "scheme.cfl_safety": ("scheme", "cfl_safety", float),
     "scheme.flux": ("scheme", "flux", str),
-    # SchemeConfig leaves the limiter to _slopes, which checks it only at
-    # the first step
-    "scheme.limiter": ("scheme", "limiter", _one_of("mc", "minmod", "none")),
+    "scheme.limiter": ("scheme", "limiter", str),
     "scheme.max_steps": ("scheme", "max_steps", int),
     "scheme.bc": ("scheme", "bc", str),
     "run.t_end": ("run", "t_end", float),
@@ -240,11 +241,17 @@ def preset_config(name: str, **overrides) -> RunConfig:
 
 
 def simulate(cfg: RunConfig) -> Trajectory:
+    """Build the scenario and run it; the scenario's warnings are logged and
+    carried on the trajectory."""
     built = build_scenario(cfg.scenario, cfg.grid)
+    for warning in built.warnings:
+        log.warning("%s", warning)
     initial = built.effective_state if cfg.scheme.formulation == "effective" \
         else built.state
-    return run(initial, cfg.t_end, cfg.grid, cfg.params, cfg.scheme,
+    traj = run(initial, cfg.t_end, cfg.grid, cfg.params, cfg.scheme,
                record_every=cfg.record_every, jump_x0=cfg.jump_x0)
+    traj.warnings = list(built.warnings)
+    return traj
 
 
 def verdicts_for(traj: Trajectory, cfg: RunConfig,
@@ -254,8 +261,7 @@ def verdicts_for(traj: Trajectory, cfg: RunConfig,
     bd0 = records[0].bd_entropy
     entropy_ok = all(r.bd_entropy <= bd0 * (1.0 + entropy_tol) + 1e-12
                      for r in records)
-    _, gron_ok = diagnostics.gronwall_envelope(traj, cfg.params,
-                                               tol=gronwall_tol)
+    _, gron_ok = diagnostics.gronwall_envelope(traj, tol=gronwall_tol)
     return {
         "entropy_decay": bool(entropy_ok),
         "gronwall": bool(gron_ok),
@@ -296,6 +302,7 @@ def write_artifacts(traj: Trajectory, cfg: RunConfig, out_dir: str,
         "mass_error_max": traj.mass_error_max,
         "mass_error_accum": traj.mass_error_accum,
         "verdicts": verdicts_for(traj, cfg),
+        "warnings": traj.warnings,
     }
     if extra_summary:
         summary.update(extra_summary)
@@ -309,6 +316,17 @@ def _sparse_indices(n: int, cap: int) -> list:
         return list(range(n))
     idx = np.unique(np.linspace(0, n - 1, cap).astype(int))
     return idx.tolist()
+
+
+def make_output_dir(path: str) -> None:
+    """Create an output directory; raises ConfigError when it cannot be
+    created or written to, so a bad --out fails before any simulation."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot create output directory {path}: {exc}"])
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError([f"output directory {path} is not writable"])
 
 
 def run_scenario(cfg: RunConfig, out_dir: str | None = None) -> int:

@@ -9,7 +9,7 @@ integrating factor with the velocity frozen over the step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -18,6 +18,7 @@ from . import diagnostics
 from .core import (
     EffectiveState,
     Grid1D,
+    NonFiniteStateError,
     Params,
     State,
     VacuumError,
@@ -28,6 +29,7 @@ from .core import (
     powf,
     pressure,
     sound_speed,
+    to_effective,
     viscosity,
 )
 
@@ -53,6 +55,8 @@ class SchemeConfig:
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.flux not in ("rusanov", "upwind"):
             raise ValueError(f"unknown flux {self.flux!r}")
+        if self.limiter not in ("mc", "minmod", "none"):
+            raise ValueError(f"unknown limiter {self.limiter!r}")
         if self.bc not in ("farfield", "periodic"):
             raise ValueError(f"unknown bc {self.bc!r}")
 
@@ -64,10 +68,12 @@ class SchemeConfig:
 @dataclass
 class Trajectory:
     snapshots: list = field(default_factory=list)  # [(State, DiagnosticsRecord)]
-    status: str = "completed"  # completed | vacuum_breach | step_budget_exhausted
+    # completed | vacuum_breach | nonfinite | step_budget_exhausted
+    status: str = "completed"
     steps: int = 0
     mass_error_max: float = 0.0   # per-step relative mass-balance defect
     mass_error_accum: float = 0.0  # accumulated relative defect over the run
+    warnings: list = field(default_factory=list)  # the scenario's warnings
 
     @property
     def final_state(self) -> State:
@@ -82,19 +88,15 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
            cfg: SchemeConfig) -> float:
     """Advective + diffusive stable step: safety * min over cells of
     min(dx/(|speed|+c), 0.5*dx**2*rho/mu_n(rho))."""
+    effective = cfg.formulation == "effective"
     rho = s.rho
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("non-finite density")
-    if isinstance(s, EffectiveState):
-        mom = s.w
-    else:
-        mom = s.m
-    if not np.all(np.isfinite(mom)):
-        raise ValueError("non-finite momentum")
+    mom = s.w if effective else s.m
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(mom))):
+        raise NonFiniteStateError("non-finite density or momentum")
     if np.any(rho <= 0):
         raise VacuumError("cfl_dt requires positive density")
     speed = np.abs(mom / rho)
-    if isinstance(s, EffectiveState):
+    if effective:
         # the drift carries v while convection carries u = v - d_x phi(rho)
         grad_phi = centered_gradient(phi(rho, p), g, mode=cfg.bc,
                                      boundary=float(phi(p.rho_bar, p)))
@@ -105,7 +107,8 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
 
 
 def _slopes(q: np.ndarray, limiter: str) -> np.ndarray:
-    # limited slope for cells 1..len(q)-2 of a padded array
+    # limited slope for cells 1..len(q)-2 of a padded array; SchemeConfig
+    # admits only "none", "minmod" and "mc"
     dm = q[1:-1] - q[:-2]
     dp = q[2:] - q[1:-1]
     if limiter == "none":
@@ -113,12 +116,10 @@ def _slopes(q: np.ndarray, limiter: str) -> np.ndarray:
     if limiter == "minmod":
         return np.where(dm * dp > 0.0,
                         np.sign(dm) * np.minimum(np.abs(dm), np.abs(dp)), 0.0)
-    if limiter == "mc":
-        s = np.sign(dm)
-        mag = np.minimum(np.minimum(2.0 * np.abs(dm), 2.0 * np.abs(dp)),
-                         0.5 * np.abs(dm + dp))
-        return np.where(dm * dp > 0.0, s * mag, 0.0)
-    raise ValueError(f"unknown limiter {limiter!r}")
+    s = np.sign(dm)
+    mag = np.minimum(np.minimum(2.0 * np.abs(dm), 2.0 * np.abs(dp)),
+                     0.5 * np.abs(dm + dp))
+    return np.where(dm * dp > 0.0, s * mag, 0.0)
 
 
 def _faces(q: np.ndarray, limiter: str):
@@ -237,14 +238,17 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
         p: Params, cfg: SchemeConfig, record_every: float | None = None,
         source: Source = None, jump_x0: float = 0.0,
         jump_window: int = 32) -> Trajectory:
-    """Advance to t_end with CFL-controlled steps, recording diagnostics
-    snapshots at the requested cadence plus the first and last states."""
+    """Advance to t_end with the stepper of cfg.formulation and CFL-controlled
+    steps, recording diagnostics snapshots at the requested cadence plus the
+    first and last states; a non-finite state ends the run ("nonfinite")."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be nonnegative and finite")
     if record_every is not None and not (math.isfinite(record_every)
                                          and record_every >= 0):
         raise ValueError("record_every must be nonnegative and finite")
-    is_effective = isinstance(initial, EffectiveState)
+    effective = cfg.formulation == "effective"
+    if isinstance(initial, EffectiveState) != effective:
+        raise ValueError(f"initial state does not match {cfg.formulation!r}")
     state = initial.copy()
     traj = Trajectory()
 
@@ -252,7 +256,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     gron_acc = 0.0
     diss_acc = 0.0
     prev_sup = diagnostics.gronwall_sup_bound(state.rho, p)
-    prev_rate = diagnostics.bd_dissipation_rate(state.rho, g, p)
+    prev_rate = diagnostics.bd_dissipation_rate(state.rho, g, p, cfg.bc)
     mass_prev = float(np.sum(state.rho)) * dx
     mass_scale = abs(mass_prev) if mass_prev != 0 else 1.0
 
@@ -260,28 +264,30 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
 
     def record(st):
         nonlocal base_l1
-        sv = from_effective(st, g, p, mode=cfg.bc) if is_effective else st.copy()
-        rec = diagnostics.compute_record(
-            sv, g, p, jump_x0=jump_x0, jump_window=jump_window,
-            gronwall_rhs=0.0, dissipation_bd=diss_acc)
+        sv = from_effective(st, g, p, mode=cfg.bc) if effective else st.copy()
+        w = st.w if effective else to_effective(st, g, p, mode=cfg.bc).w
         if base_l1 is None:
-            base_l1 = rec.l1_rhou + rec.l1_rhov
-        rec = replace(rec, gronwall_rhs=base_l1 * math.exp(3.0 * gron_acc))
-        traj.snapshots.append((sv, rec))
+            base_l1 = sum(diagnostics.l1_momenta(sv, w, g))
+        traj.snapshots.append((sv, diagnostics.compute_record(
+            sv, w, g, p, cfg.bc, jump_x0=jump_x0, jump_window=jump_window,
+            gronwall_rhs=base_l1 * math.exp(3.0 * gron_acc),
+            dissipation_bd=diss_acc)))
 
     record(state)
     next_record = record_every if record_every else math.inf
-    stepper = step_effective if is_effective else step_primitive
+    stepper = step_effective if effective else step_primitive
     tiny = 1e-12 * max(t_end, 1.0)
 
     try:
+        dt_cfl = cfl_dt(state, g, p, cfg)
         while state.t < t_end - tiny:
             if traj.steps >= cfg.max_steps:
                 traj.status = "step_budget_exhausted"
                 break
-            dt = cfl_dt(state, g, p, cfg)
-            dt = min(dt, t_end - state.t)
-            state, (f_left, f_right) = stepper(state, dt, g, p, cfg, source)
+            dt = min(dt_cfl, t_end - state.t)
+            new, (f_left, f_right) = stepper(state, dt, g, p, cfg, source)
+            dt_cfl = cfl_dt(new, g, p, cfg)  # rejects a non-finite state
+            state = new
             traj.steps += 1
 
             # exact discrete mass balance audit (meaningless under forcing)
@@ -297,7 +303,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             sup = diagnostics.gronwall_sup_bound(state.rho, p)
             gron_acc += 0.5 * (prev_sup + sup) * dt
             prev_sup = sup
-            rate = diagnostics.bd_dissipation_rate(state.rho, g, p)
+            rate = diagnostics.bd_dissipation_rate(state.rho, g, p, cfg.bc)
             diss_acc += 0.5 * (prev_rate + rate) * dt
             prev_rate = rate
 
@@ -307,6 +313,8 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
                     next_record += record_every if record_every else math.inf
     except VacuumError:
         traj.status = "vacuum_breach"
+    except NonFiniteStateError:
+        traj.status = "nonfinite"
 
     if traj.records[-1].t < state.t - tiny:
         record(state)

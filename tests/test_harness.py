@@ -14,6 +14,7 @@ from nsvisc1d.diagnostics import DiagnosticsRecord
 from nsvisc1d.harness import (
     CONFIG_KEYS,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     ConfigError,
     config_from_mapping,
@@ -349,3 +350,54 @@ def test_cli_study_n(tmp_path):
     with open(tmp_path / "study" / "study_n.json") as fh:
         payload = json.load(fh)
     assert [row["label"] for row in payload] == ["4", "inf"]
+
+
+def test_cli_nonfinite_state_exits_3(tmp_path, capsys):
+    # a huge momentum atom overflows the first step: the run ends at the
+    # last finite state with a summary, not a traceback
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", "--preset", "corbis", "--out", str(out),
+                         "--override", "grid.cells=64",
+                         "--override", "run.t_end=0.001",
+                         "--override", "scenario.atoms=0:1e306"])
+    assert code == EXIT_SOLVER
+    assert "run failed" in capsys.readouterr().err
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["status"] == "nonfinite"
+    assert summary["t_final"] == 0.0
+
+
+@pytest.mark.parametrize("command, study", [
+    ("run", None), ("study-dx", "study.dx_refinement=64,128"),
+    ("study-n", "study.n_sequence=4,inf")])
+def test_cli_unwritable_output_exits_2_before_running(command, study,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+    def no_simulation(cfg):
+        raise AssertionError("simulated before checking the output dir")
+    monkeypatch.setattr(harness, "simulate", no_simulation)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [command, "--preset", "theo1", "--out", str(blocker / "sub"),
+            "--override", "grid.cells=64", "--override", "run.t_end=0.001"]
+    if study:
+        argv += ["--override", study]
+    assert cli.main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot create output directory")
+
+
+def test_scenario_warnings_reach_summary_and_log(tmp_path, caplog):
+    out = tmp_path / "run"
+    with caplog.at_level("WARNING", logger="nsvisc1d.harness"):
+        code = cli.main(["run", "--preset", "theo1", "--out", str(out),
+                         "--override", "grid.cells=64",
+                         "--override", "run.t_end=0.001",
+                         "--override", "scenario.density_values=1,20,1"])
+    assert code == EXIT_OK
+    with open(out / "summary.json") as fh:
+        warnings = json.load(fh)["warnings"]
+    assert any("smallness report 76 exceeds eps0" in w for w in warnings)
+    assert [r.getMessage() for r in caplog.records] == warnings

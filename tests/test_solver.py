@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nsvisc1d import EffectiveState, Grid1D, Params, State
+from nsvisc1d import (EffectiveState, Grid1D, Params, State, core,
+                      diagnostics, solver)
 from nsvisc1d.initdata import build_scenario, preset_scenario
 from nsvisc1d.solver import (
     SchemeConfig,
@@ -196,6 +197,52 @@ def test_record_cadence():
         assert abs(t - 0.002 * k) <= dt_max
 
 
+def test_nonfinite_state_ends_the_run():
+    # a momentum spike overflows the first step's fluxes: the run keeps the
+    # last finite state instead of raising
+    g = small_grid(64)
+    m = np.zeros(g.cells)
+    m[32] = 1e306
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run(State(np.ones(g.cells), m), 0.001, g, Params(),
+                   SchemeConfig())
+    assert traj.status == "nonfinite"
+    assert traj.steps == 0
+    assert len(traj.records) == 1
+    np.testing.assert_array_equal(traj.final_state.m, m)
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_run_rejects_state_of_other_formulation(formulation):
+    g, built = theo1_state()
+    other = built.state if formulation == "effective" \
+        else built.effective_state
+    with pytest.raises(ValueError, match=formulation):
+        run(other, 0.004, g, Params(), SchemeConfig(formulation=formulation))
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_one_transform_per_record(formulation, monkeypatch):
+    # each snapshot derives its effective momentum (primitive) or its
+    # primitive state (effective) once; the diagnostics transform nothing
+    calls = {"to_effective": 0, "from_effective": 0}
+    for name in calls:
+        original = getattr(core, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (core, solver, diagnostics):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    g, built = theo1_state()
+    initial = built.effective_state if formulation == "effective" \
+        else built.state
+    traj = run(initial, 0.004, g, Params(),
+               SchemeConfig(formulation=formulation), record_every=0.001)
+    used = "from_effective" if formulation == "effective" else "to_effective"
+    assert calls == {**dict.fromkeys(calls, 0), used: len(traj.records)}
+
+
 def test_run_without_cadence_records_ends_only():
     g, built = theo1_state()
     traj = run(built.state, 0.004, g, Params(), SchemeConfig())
@@ -232,7 +279,5 @@ def test_flux_limiter_variants_stay_stable(flux, limiter):
 
 
 def test_unknown_limiter_rejected():
-    g, built = theo1_state(256)
-    cfg = SchemeConfig(limiter="superbee")
-    with pytest.raises(ValueError):
-        step_primitive(built.state, 1e-6, g, Params(), cfg)
+    with pytest.raises(ValueError, match="limiter"):
+        SchemeConfig(limiter="superbee")
