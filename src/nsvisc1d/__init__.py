@@ -13,7 +13,6 @@ from .core import (
     UnsupportedExponentError,
     VacuumError,
     centered_gradient,
-    effective_velocity,
     from_effective,
     phi,
     phi1,
@@ -32,7 +31,6 @@ from .initdata import (
     build_scenario,
     heat_mollify,
     make_dirac_momentum,
-    make_shock_density,
     preset_scenario,
 )
 from .solver import SchemeConfig, Trajectory, cfl_dt, run, step_effective, step_primitive

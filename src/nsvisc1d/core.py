@@ -241,25 +241,21 @@ def pi_rel(rho, p: Params):
 # shared discrete operators
 
 def pad_field(field: np.ndarray, width: int, mode: str = "farfield",
-              left: float = 0.0, right: float | None = None) -> np.ndarray:
+              far: float = 0.0) -> np.ndarray:
     """Extend a cell field by `width` ghost cells per side.
 
-    modes: "farfield" (constant left/right values), "edge" (copy boundary
-    cell), "periodic" (wrap).
+    modes: "farfield" (the constant `far` on both sides), "edge" (copy
+    boundary cell), "periodic" (wrap).
     """
     if mode == "periodic":
         return np.concatenate([field[-width:], field, field[:width]])
     if mode == "edge":
-        left_vals = np.full(width, field[0])
-        right_vals = np.full(width, field[-1])
-    elif mode == "farfield":
-        if right is None:
-            right = left
-        left_vals = np.full(width, left)
-        right_vals = np.full(width, right)
-    else:
-        raise ValueError(f"unknown pad mode {mode!r}")
-    return np.concatenate([left_vals, field, right_vals])
+        return np.concatenate([np.full(width, field[0]), field,
+                               np.full(width, field[-1])])
+    if mode == "farfield":
+        ghosts = np.full(width, far)
+        return np.concatenate([ghosts, field, ghosts])
+    raise ValueError(f"unknown pad mode {mode!r}")
 
 
 def centered_gradient(field: np.ndarray, g: Grid1D, mode: str = "farfield",
@@ -269,18 +265,8 @@ def centered_gradient(field: np.ndarray, g: Grid1D, mode: str = "farfield",
     This is the one discrete gradient reused by every module; identities such
     as w - m = grad(phi1(rho)) then hold to machine precision.
     """
-    ext = pad_field(field, 1, mode=mode, left=boundary)
+    ext = pad_field(field, 1, mode=mode, far=boundary)
     return (ext[2:] - ext[:-2]) / (2.0 * g.dx)
-
-
-def effective_velocity(s: State, g: Grid1D, p: Params,
-                       mode: str = "farfield") -> np.ndarray:
-    """v = u + d_x phi(rho) with far-field ghost values."""
-    if np.any(s.rho <= 0):
-        raise VacuumError("effective_velocity requires positive density")
-    grad_phi = centered_gradient(phi(s.rho, p), g, mode=mode,
-                                 boundary=float(phi(p.rho_bar, p)))
-    return s.m / s.rho + grad_phi
 
 
 def to_effective(s: State, g: Grid1D, p: Params,

@@ -79,7 +79,7 @@ def total_variation(field: np.ndarray) -> float:
 
 def _face_gradient_sq(f: np.ndarray, g: Grid1D, bc: str, far: float) -> float:
     """integral |d_x f|**2 over the cell faces (one wrap face if periodic)."""
-    ext = pad_field(f, 1, mode=bc, left=far)
+    ext = pad_field(f, 1, mode=bc, far=far)
     d = np.diff(ext[1:] if bc == "periodic" else ext) / g.dx
     return float(np.sum(d * d) * g.dx)
 
@@ -93,14 +93,11 @@ def h1_phi1(s: State, g: Grid1D, p: Params, bc: str) -> float:
                                        float(phi1(p.rho_bar, p))))
 
 
-def jump_amplitude(rho: np.ndarray, g: Grid1D, x0: float,
-                   window: int = 32) -> float:
-    """Max one-cell increment of rho over `window` cells centered at x0."""
-    if window < 4:
-        raise ValueError("window must span at least 4 cells")
+def jump_amplitude(rho: np.ndarray, g: Grid1D, x0: float) -> float:
+    """Max one-cell increment of rho over the 32 cells centered at x0."""
     i0 = int((x0 - g.x_min) / g.dx)
-    lo = max(0, i0 - window // 2)
-    hi = min(g.cells, i0 + window // 2)
+    lo = max(0, i0 - 16)
+    hi = min(g.cells, i0 + 16)
     if hi - lo < 2:
         raise ValueError("window lies outside the domain")
     return float(np.max(np.abs(np.diff(rho[lo:hi]))))
@@ -116,20 +113,20 @@ def gronwall_sup_bound(rho: np.ndarray, p: Params) -> float:
     return out
 
 
-def gronwall_envelope(traj, tol: float = 0.05):
+def gronwall_envelope(traj):
     """Exponential L1-momentum envelope along a trajectory.
 
     Returns (envelope array, verdict). The envelope is each snapshot's
     `gronwall_rhs`, which `solver.run` accumulates per step as
     (|rho v(0)|_1 + |rho u(0)|_1) * exp(3 * int_0^t sup-bound ds). The verdict
-    is True when the measured |rho u|_1 + |rho v|_1 stays below
-    envelope*(1+tol) at every snapshot."""
+    is True when the envelope is finite and the measured |rho u|_1 + |rho v|_1
+    stays below 1.05 * envelope at every snapshot."""
     records = traj.records
     if not records:
         raise ValueError("trajectory has no snapshots")
     env = np.array([r.gronwall_rhs for r in records])
     verdict = all(
-        r.l1_rhou + r.l1_rhov <= e * (1.0 + tol) + 1e-12
+        math.isfinite(e) and r.l1_rhou + r.l1_rhov <= e * 1.05 + 1e-12
         for r, e in zip(records, env))
     return env, verdict
 
@@ -151,8 +148,7 @@ def bd_dissipation_rate(rho: np.ndarray, g: Grid1D, p: Params,
 
 
 def compute_record(s: State, w: np.ndarray, g: Grid1D, p: Params, bc: str, *,
-                   jump_x0: float = 0.0, jump_window: int = 32,
-                   gronwall_rhs: float = 0.0,
+                   jump_x0: float = 0.0, gronwall_rhs: float = 0.0,
                    dissipation_bd: float = 0.0) -> DiagnosticsRecord:
     """Assemble one diagnostics row from the state, its effective momentum w
     and the run's boundary rule; the time integrator supplies the rest."""
@@ -168,7 +164,7 @@ def compute_record(s: State, w: np.ndarray, g: Grid1D, p: Params, bc: str, *,
         rho_max=float(np.max(s.rho)),
         rho_min=float(np.min(s.rho)),
         h1_phi1=h1_phi1(s, g, p, bc),
-        jump_amp=jump_amplitude(s.rho, g, jump_x0, jump_window),
+        jump_amp=jump_amplitude(s.rho, g, jump_x0),
         gronwall_rhs=gronwall_rhs,
         dissipation_bd=dissipation_bd,
     )

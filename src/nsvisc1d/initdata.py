@@ -10,7 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    EffectiveState,
     Grid1D,
     Params,
     State,
@@ -168,14 +167,6 @@ def heat_mollify(data, tau: float, g: Grid1D) -> MollifiedField:
     return MollifiedField(np.convolve(ext, w, mode="valid"), clipped)
 
 
-def make_shock_density(rho_left: float, rho_right: float, x0: float,
-                       g: Grid1D) -> np.ndarray:
-    """Piecewise-constant density with a single jump at x0."""
-    if rho_left <= 0 or rho_right <= 0:
-        raise ValueError("densities must be positive")
-    return np.where(g.centers() < x0, rho_left, rho_right)
-
-
 def make_dirac_momentum(atoms, tau: float, g: Grid1D) -> np.ndarray:
     """Sum of mollified Dirac atoms sampled at cell centers."""
     if not atoms:
@@ -192,14 +183,13 @@ def piecewise_density(breaks, values, g: Grid1D) -> np.ndarray:
 @dataclass
 class BuiltScenario:
     state: State
-    effective_state: EffectiveState
     smallness: float
     warnings: list = field(default_factory=list)
 
 
-def build_scenario(spec: ScenarioSpec, g: Grid1D,
-                   eps0: float = DEFAULT_EPS0) -> BuiltScenario:
-    """Assemble the initial State/EffectiveState for a validated scenario.
+def build_scenario(spec: ScenarioSpec, g: Grid1D) -> BuiltScenario:
+    """Assemble the initial State for a validated scenario; an effective run
+    starts from its `to_effective` under the run's boundary rule.
 
     The raw BV density and momentum are built first (the effective-momentum
     coupling uses the shared centered gradient, edge-padded so its discrete
@@ -231,9 +221,9 @@ def build_scenario(spec: ScenarioSpec, g: Grid1D,
     smallness = float(np.sum(np.abs(grad_phi1)) * g.dx
                       + np.sum(np.abs(m0)) * g.dx
                       + sum(abs(mass) for _, mass in spec.momentum_atoms))
-    if smallness > eps0:
+    if smallness > DEFAULT_EPS0:
         warnings.append(
-            f"smallness report {smallness:.4g} exceeds eps0={eps0:g}; "
+            f"smallness report {smallness:.4g} exceeds eps0={DEFAULT_EPS0:g}; "
             "running anyway")
 
     if tau > 0:
@@ -253,11 +243,7 @@ def build_scenario(spec: ScenarioSpec, g: Grid1D,
         warnings.append(
             f"density differs from rho_bar at the domain edges by {edge_gap:.3g}")
 
-    state = State(rho0, m0, 0.0)
-    w0 = m0 + centered_gradient(phi1(rho0, p), g, mode="farfield",
-                                boundary=float(phi1(p.rho_bar, p)))
-    eff = EffectiveState(rho0.copy(), w0, 0.0)
-    return BuiltScenario(state, eff, smallness, warnings)
+    return BuiltScenario(State(rho0, m0, 0.0), smallness, warnings)
 
 
 # ---------------------------------------------------------------------------

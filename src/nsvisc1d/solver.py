@@ -42,15 +42,12 @@ class SchemeConfig:
     cfl_safety: float = 0.4
     flux: str = "rusanov"            # "rusanov" | "upwind"
     limiter: str = "mc"              # "mc" | "minmod" | "none"
-    vacuum_floor: float | None = None  # None -> 1e-8 * rho_bar
     max_steps: int = 5_000_000
     bc: str = "farfield"             # "farfield" | "periodic"
 
     def __post_init__(self):
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.vacuum_floor is not None and self.vacuum_floor <= 0:
-            raise ValueError("vacuum_floor must be positive")
         if self.formulation not in ("primitive", "effective"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.flux not in ("rusanov", "upwind"):
@@ -61,8 +58,8 @@ class SchemeConfig:
             raise ValueError(f"unknown bc {self.bc!r}")
 
     def floor(self, p: Params) -> float:
-        return self.vacuum_floor if self.vacuum_floor is not None \
-            else 1e-8 * p.rho_bar
+        """Vacuum floor: a step whose density falls below it fails."""
+        return 1e-8 * p.rho_bar
 
 
 @dataclass
@@ -131,9 +128,9 @@ def _faces(q: np.ndarray, limiter: str):
     return qL, qR
 
 
-def _pad2(s_rho, s_mom, p: Params, cfg: SchemeConfig, mom_far: float = 0.0):
-    rho = pad_field(s_rho, 2, mode=cfg.bc, left=p.rho_bar)
-    mom = pad_field(s_mom, 2, mode=cfg.bc, left=mom_far)
+def _pad2(s_rho, s_mom, p: Params, cfg: SchemeConfig):
+    rho = pad_field(s_rho, 2, mode=cfg.bc, far=p.rho_bar)
+    mom = pad_field(s_mom, 2, mode=cfg.bc)
     return rho, mom
 
 
@@ -236,8 +233,7 @@ def relax_effective_momentum(w: np.ndarray, rho: np.ndarray, u: np.ndarray,
 
 def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
         p: Params, cfg: SchemeConfig, record_every: float | None = None,
-        source: Source = None, jump_x0: float = 0.0,
-        jump_window: int = 32) -> Trajectory:
+        source: Source = None, jump_x0: float = 0.0) -> Trajectory:
     """Advance to t_end with the stepper of cfg.formulation and CFL-controlled
     steps, recording diagnostics snapshots at the requested cadence plus the
     first and last states; a non-finite state ends the run ("nonfinite")."""
@@ -269,7 +265,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
         if base_l1 is None:
             base_l1 = sum(diagnostics.l1_momenta(sv, w, g))
         traj.snapshots.append((sv, diagnostics.compute_record(
-            sv, w, g, p, cfg.bc, jump_x0=jump_x0, jump_window=jump_window,
+            sv, w, g, p, cfg.bc, jump_x0=jump_x0,
             gronwall_rhs=base_l1 * math.exp(3.0 * gron_acc),
             dissipation_bd=diss_acc)))
 

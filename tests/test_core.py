@@ -15,7 +15,6 @@ from nsvisc1d import (
     State,
     UnsupportedExponentError,
     centered_gradient,
-    effective_velocity,
     from_effective,
     phi,
     phi1,
@@ -209,10 +208,7 @@ def test_pad_field_modes():
     np.testing.assert_array_equal(pad_field(f, 1, mode="periodic"),
                                   [3, 1, 2, 3, 1])
     np.testing.assert_array_equal(
-        pad_field(f, 1, mode="farfield", left=9.0), [9, 1, 2, 3, 9])
-    np.testing.assert_array_equal(
-        pad_field(f, 1, mode="farfield", left=9.0, right=7.0),
-        [9, 1, 2, 3, 7])
+        pad_field(f, 1, mode="farfield", far=9.0), [9, 1, 2, 3, 9])
     with pytest.raises(ValueError):
         pad_field(f, 1, mode="mirror")
 
@@ -255,14 +251,3 @@ def test_effective_round_trip_exact():
                              boundary=float(phi1(p.rho_bar, p)))
     np.testing.assert_allclose(e.w - s.m, grad, rtol=0, atol=1e-15)
 
-
-def test_effective_velocity_consistency():
-    p = Params(alpha=1.0)
-    g = Grid1D(-5.0, 5.0, 200)
-    x = g.centers()
-    rho = 1.0 + 0.5 * np.exp(-x ** 2)
-    s = State(rho, np.zeros_like(x))
-    v = effective_velocity(s, g, p)
-    grad = centered_gradient(phi(rho, p), g, mode="farfield",
-                             boundary=float(phi(p.rho_bar, p)))
-    np.testing.assert_array_equal(v, grad)

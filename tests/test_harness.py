@@ -3,6 +3,7 @@ and the refinement / regularization studies (on deliberately coarse grids)."""
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nsvisc1d.harness import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     ConfigError,
+    StudySpec,
     config_from_mapping,
     n_sequence_study,
     parse_config,
@@ -235,6 +237,21 @@ def test_simulate_deterministic():
     np.testing.assert_array_equal(rho1, rho2)
 
 
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_periodic_equilibrium_starts_at_rest(formulation):
+    # a uniform density away from rho_bar is at rest on a periodic grid: the
+    # effective run starts from the transform under the run's own rule
+    cfg = preset_config("equilibrium", **{
+        "scenario.density_values": "1.5", "scheme.bc": "periodic",
+        "grid.cells": "64", "run.t_end": "0.001",
+        "scheme.formulation": formulation})
+    traj = simulate(cfg)
+    assert traj.status == "completed" and traj.steps > 0
+    for state, _ in traj.snapshots:
+        assert np.all(state.m == 0.0)
+        assert np.all(state.rho == state.rho[0])
+
+
 # ---------------------------------------------------------------------------
 # studies
 
@@ -251,11 +268,18 @@ def test_refinement_study_rows_and_probe():
 
 
 def test_refinement_study_threaded_matches_serial():
+    # the study's thread fan-out gives the distance of two solo runs, bit
+    # for bit
     cfg = small_cfg(**{"study.dx_refinement": "320,640"})
-    serial = refinement_study(cfg, workers=1)
-    threaded = refinement_study(cfg, workers=2)
-    assert [r.label for r in serial] == [r.label for r in threaded]
-    assert serial[1].l1_distance == threaded[1].l1_distance
+    threaded = refinement_study(cfg)
+    coarse_cfg = replace(cfg, study=StudySpec())
+    fine_cfg = replace(coarse_cfg, grid=replace(cfg.grid, cells=640))
+    coarse = simulate(coarse_cfg).final_state.rho
+    fine = simulate(fine_cfg).final_state.rho
+    dist = float(np.sum(np.abs(fine - np.repeat(coarse, 2)))
+                 * fine_cfg.grid.dx)
+    assert [r.label for r in threaded] == ["320", "640"]
+    assert threaded[1].l1_distance == dist
 
 
 def test_refinement_study_requires_spec():
@@ -354,7 +378,8 @@ def test_cli_study_n(tmp_path):
 
 def test_cli_nonfinite_state_exits_3(tmp_path, capsys):
     # a huge momentum atom overflows the first step: the run ends at the
-    # last finite state with a summary, not a traceback
+    # last finite state with a summary, not a traceback, and the verdict
+    # that rests on the infinite BD entropy is false
     out = tmp_path / "run"
     with np.errstate(over="ignore", invalid="ignore"):
         code = cli.main(["run", "--preset", "corbis", "--out", str(out),
@@ -367,6 +392,11 @@ def test_cli_nonfinite_state_exits_3(tmp_path, capsys):
         summary = json.load(fh)
     assert summary["status"] == "nonfinite"
     assert summary["t_final"] == 0.0
+    with open(out / "diagnostics.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+    assert float(rows[0]["bd_entropy"]) == math.inf
+    assert summary["verdicts"]["entropy_decay"] is False
 
 
 @pytest.mark.parametrize("command, study", [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nsvisc1d import Grid1D, Params
+from nsvisc1d import Grid1D, Params, to_effective
 from nsvisc1d.initdata import (
     DEFAULT_EPS0,
     PRESET_NAMES,
@@ -16,7 +16,6 @@ from nsvisc1d.initdata import (
     build_scenario,
     heat_mollify,
     make_dirac_momentum,
-    make_shock_density,
     piecewise_density,
     preset_scenario,
 )
@@ -96,15 +95,6 @@ def test_dirac_momentum_mass_and_peak():
 # density profiles
 
 
-def test_make_shock_density():
-    g = grid(cells=100)
-    rho = make_shock_density(1.0, 2.0, 0.0, g)
-    assert set(np.unique(rho)) == {1.0, 2.0}
-    assert rho[0] == 1.0 and rho[-1] == 2.0
-    with pytest.raises(ValueError):
-        make_shock_density(0.0, 1.0, 0.0, g)
-
-
 def test_piecewise_density():
     g = grid(cells=100)
     rho = piecewise_density((-2.0, 3.0), (1.0, 4.0, 2.0), g)
@@ -181,11 +171,11 @@ def test_resolved_tau_defaults_to_grid_scale():
 def test_build_theo1_momentum_integral_vanishes():
     # m0 = -d_x phi1(rho0) with matching far fields integrates to zero
     g = grid(cells=1024)
-    built = build_scenario(
-        spec(density_breaks=(-2.0, 2.0), density_values=(1.0, 2.0, 1.0)), g)
+    s = spec(density_breaks=(-2.0, 2.0), density_values=(1.0, 2.0, 1.0))
+    built = build_scenario(s, g)
     assert abs(np.sum(built.state.m) * g.dx) < 1e-12
     # effective momentum then vanishes up to the gradient-operator mismatch
-    assert np.max(np.abs(built.effective_state.w)) < 1e-2
+    assert np.max(np.abs(to_effective(built.state, g, s.params).w)) < 1e-2
 
 
 def test_build_mollifies_the_jump():

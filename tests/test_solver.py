@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from _runs import initial_state
 from nsvisc1d import (EffectiveState, Grid1D, Params, State, core,
                       diagnostics, solver)
 from nsvisc1d.initdata import build_scenario, preset_scenario
@@ -44,10 +45,8 @@ def test_scheme_config_validation():
         SchemeConfig(flux="godunov")
     with pytest.raises(ValueError):
         SchemeConfig(bc="reflecting")
-    with pytest.raises(ValueError):
-        SchemeConfig(vacuum_floor=-1.0)
     assert SchemeConfig().floor(Params()) == pytest.approx(1e-8)
-    assert SchemeConfig(vacuum_floor=1e-5).floor(Params()) == 1e-5
+    assert SchemeConfig().floor(Params(rho_bar=3.0)) == pytest.approx(3e-8)
 
 
 def test_cfl_dt_diffusive_scaling():
@@ -124,9 +123,8 @@ def test_uniform_flow_translates_unchanged(formulation):
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_mass_balance_audit(formulation):
     g, built = theo1_state()
-    initial = built.effective_state if formulation == "effective" \
-        else built.state
-    traj = run(initial, 0.01, g, Params(), SchemeConfig(formulation=formulation),
+    cfg = SchemeConfig(formulation=formulation)
+    traj = run(initial_state(built, g, Params(), cfg), 0.01, g, Params(), cfg,
                record_every=0.005)
     assert traj.status == "completed"
     assert traj.mass_error_max < 1e-13
@@ -167,11 +165,10 @@ def test_vacuum_breach_status():
     g = small_grid(256)
     x = g.centers()
     rho = np.full(g.cells, 1.0)
-    m = 6.0 * np.sign(x)  # violent rarefaction at the center
-    traj = run(State(rho, m), 1.0, g, Params(),
-               SchemeConfig(vacuum_floor=0.5))
+    m = 50.0 * np.sign(x)  # violent rarefaction at the center
+    traj = run(State(rho, m), 1.0, g, Params(), SchemeConfig())
     assert traj.status == "vacuum_breach"
-    assert traj.records[-1].t < 1.0
+    assert 0.0 < traj.records[-1].t < 1.0
 
 
 def test_step_budget_status():
@@ -215,16 +212,19 @@ def test_nonfinite_state_ends_the_run():
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_run_rejects_state_of_other_formulation(formulation):
     g, built = theo1_state()
-    other = built.state if formulation == "effective" \
-        else built.effective_state
+    other = "primitive" if formulation == "effective" else "effective"
+    state = initial_state(built, g, Params(), SchemeConfig(formulation=other))
     with pytest.raises(ValueError, match=formulation):
-        run(other, 0.004, g, Params(), SchemeConfig(formulation=formulation))
+        run(state, 0.004, g, Params(), SchemeConfig(formulation=formulation))
 
 
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_one_transform_per_record(formulation, monkeypatch):
     # each snapshot derives its effective momentum (primitive) or its
     # primitive state (effective) once; the diagnostics transform nothing
+    g, built = theo1_state()
+    cfg = SchemeConfig(formulation=formulation)
+    initial = initial_state(built, g, Params(), cfg)
     calls = {"to_effective": 0, "from_effective": 0}
     for name in calls:
         original = getattr(core, name)
@@ -234,11 +234,7 @@ def test_one_transform_per_record(formulation, monkeypatch):
             return _fn(*args, **kwargs)
         for module in (core, solver, diagnostics):
             monkeypatch.setattr(module, name, counted, raising=False)
-    g, built = theo1_state()
-    initial = built.effective_state if formulation == "effective" \
-        else built.state
-    traj = run(initial, 0.004, g, Params(),
-               SchemeConfig(formulation=formulation), record_every=0.001)
+    traj = run(initial, 0.004, g, Params(), cfg, record_every=0.001)
     used = "from_effective" if formulation == "effective" else "to_effective"
     assert calls == {**dict.fromkeys(calls, 0), used: len(traj.records)}
 
