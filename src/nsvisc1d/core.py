@@ -85,12 +85,11 @@ class Params:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered mesh on [x_min, x_max] with ghost cells."""
+    """Uniform cell-centered mesh on [x_min, x_max]."""
 
     x_min: float
     x_max: float
     cells: int
-    ghost: int = 2
 
     def __post_init__(self):
         if self.cells < 4:
@@ -99,8 +98,6 @@ class Grid1D:
             raise ValueError("domain bounds must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("empty domain")
-        if self.ghost < 2:
-            raise ValueError("need at least 2 ghost cells per side")
 
     @property
     def dx(self) -> float:
@@ -146,60 +143,81 @@ class EffectiveState:
         return EffectiveState(self.rho.copy(), self.w.copy(), self.t)
 
 
-def powf(rho, e: float):
-    """rho**e with fast paths for the exponents the default presets hit."""
+def powf(rho, e: float, out=None):
+    """rho**e with fast paths for the exponents the default presets hit;
+    written into `out` when given."""
     if e == 0.0:
-        return np.ones_like(np.asarray(rho, dtype=float))
+        if out is None:
+            return np.ones_like(np.asarray(rho, dtype=float))
+        out.fill(1.0)
+        return out
     if e == 1.0:
-        return np.asarray(rho, dtype=float) + 0.0
+        return np.add(rho, 0.0, out=out)
     if e == 2.0:
         r = np.asarray(rho, dtype=float)
-        return r * r
+        return np.multiply(r, r, out=out)
     if e == 0.5:
-        return np.sqrt(rho)
+        return np.sqrt(rho, out=out)
     if e == -1.0:
-        return 1.0 / np.asarray(rho, dtype=float)
-    return np.power(rho, e)
+        return np.divide(1.0, np.asarray(rho, dtype=float), out=out)
+    return np.power(rho, e, out=out)
 
 
-def pressure(rho, p: Params):
+# The functions of rho below write into `out` (and their second term into
+# `scratch`) when given; neither may alias rho.
+
+def pressure(rho, p: Params, out=None):
     """P(rho) = a * rho**gamma."""
-    return p.a * powf(rho, p.gamma)
+    pr = powf(rho, p.gamma, out)
+    pr *= p.a
+    return pr
 
-def viscosity(rho, p: Params):
+
+def viscosity(rho, p: Params, out=None, scratch=None):
     """mu_n(rho) = mu * rho**alpha + rho**theta / n (term absent for n = inf)."""
-    out = p.mu * powf(rho, p.alpha)
+    mu = powf(rho, p.alpha, out)
+    mu *= p.mu
     if p.has_reg_term:
-        out = out + powf(rho, p.theta) / p.n_reg
-    return out
+        reg = powf(rho, p.theta, scratch)
+        reg /= p.n_reg
+        mu += reg
+    return mu
 
 
-def sound_speed(rho, p: Params):
+def sound_speed(rho, p: Params, out=None):
     """sqrt(P'(rho)) = sqrt(a * gamma * rho**(gamma-1))."""
-    return np.sqrt(p.a * p.gamma * powf(rho, p.gamma - 1.0))
+    c2 = powf(rho, p.gamma - 1.0, out)
+    c2 *= p.a * p.gamma
+    return np.sqrt(c2, out=out)
 
 
-def _power_primitive(rho, coef: float, expnt: float):
+def _power_primitive(rho, coef: float, expnt: float, out=None):
     # antiderivative of coef * rho**(expnt-1): handles the log branch
     if expnt == 0.0:
-        return coef * np.log(rho)
-    return (coef / expnt) * powf(rho, expnt)
+        prim = np.log(rho, out=out)
+        prim *= coef
+    else:
+        prim = powf(rho, expnt, out)
+        prim *= coef / expnt
+    return prim
 
 
 def _require_positive(rho):
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
+    # the smallest non-NaN entry, as `np.any(rho <= 0)` would see it, but
+    # without a temporary mask
+    if np.fmin.reduce(rho, axis=None, initial=np.inf) <= 0:
         raise DomainError("density must be strictly positive")
     return rho
 
 
-def phi(rho, p: Params):
+def phi(rho, p: Params, out=None, scratch=None):
     """Antiderivative of mu_n(rho)/rho**2 (drives v = u + d_x phi(rho))."""
     rho = _require_positive(rho)
-    out = _power_primitive(rho, p.mu, p.alpha - 1.0)
+    ph = _power_primitive(rho, p.mu, p.alpha - 1.0, out)
     if p.has_reg_term:
-        out = out + _power_primitive(rho, 1.0 / p.n_reg, p.theta - 1.0)
-    return out
+        ph += _power_primitive(rho, 1.0 / p.n_reg, p.theta - 1.0, scratch)
+    return ph
 
 
 def phi1(rho, p: Params):
@@ -240,22 +258,42 @@ def pi_rel(rho, p: Params):
 # ---------------------------------------------------------------------------
 # shared discrete operators
 
-def pad_field(field: np.ndarray, width: int, mode: str = "farfield",
-              far: float = 0.0) -> np.ndarray:
-    """Extend a cell field by `width` ghost cells per side.
+def fill_ghosts(ext: np.ndarray, width: int, mode: str = "farfield",
+                far: float = 0.0) -> np.ndarray:
+    """Set the `width` ghost cells per side of `ext`, whose interior
+    ext[width:-width] holds a cell field, in place; returns ext.
 
     modes: "farfield" (the constant `far` on both sides), "edge" (copy
     boundary cell), "periodic" (wrap).
     """
     if mode == "periodic":
-        return np.concatenate([field[-width:], field, field[:width]])
-    if mode == "edge":
-        return np.concatenate([np.full(width, field[0]), field,
-                               np.full(width, field[-1])])
-    if mode == "farfield":
-        ghosts = np.full(width, far)
-        return np.concatenate([ghosts, field, ghosts])
-    raise ValueError(f"unknown pad mode {mode!r}")
+        ext[:width] = ext[-2 * width:-width]
+        ext[-width:] = ext[width:2 * width]
+    elif mode == "edge":
+        ext[:width] = ext[width]
+        ext[-width:] = ext[-width - 1]
+    elif mode == "farfield":
+        ext[:width] = far
+        ext[-width:] = far
+    else:
+        raise ValueError(f"unknown pad mode {mode!r}")
+    return ext
+
+
+def pad_field(field: np.ndarray, width: int, mode: str = "farfield",
+              far: float = 0.0) -> np.ndarray:
+    """A new copy of a cell field with `width` ghost cells per side, set
+    as `fill_ghosts` does."""
+    ext = np.empty(len(field) + 2 * width)
+    ext[width:-width] = field
+    return fill_ghosts(ext, width, mode, far)
+
+
+def centered_difference(ext: np.ndarray, g: Grid1D, out=None) -> np.ndarray:
+    """(ext[i+1] - ext[i-1]) / (2 dx) for every i with both neighbours."""
+    diff = np.subtract(ext[2:], ext[:-2], out=out)
+    diff /= 2.0 * g.dx
+    return diff
 
 
 def centered_gradient(field: np.ndarray, g: Grid1D, mode: str = "farfield",
@@ -265,8 +303,7 @@ def centered_gradient(field: np.ndarray, g: Grid1D, mode: str = "farfield",
     This is the one discrete gradient reused by every module; identities such
     as w - m = grad(phi1(rho)) then hold to machine precision.
     """
-    ext = pad_field(field, 1, mode=mode, far=boundary)
-    return (ext[2:] - ext[:-2]) / (2.0 * g.dx)
+    return centered_difference(pad_field(field, 1, mode=mode, far=boundary), g)
 
 
 def to_effective(s: State, g: Grid1D, p: Params,

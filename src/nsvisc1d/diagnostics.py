@@ -16,6 +16,7 @@ from .core import (
     Grid1D,
     Params,
     State,
+    fill_ghosts,
     pad_field,
     phi1,
     pi_rel,
@@ -77,11 +78,19 @@ def total_variation(field: np.ndarray) -> float:
     return float(np.sum(np.abs(np.diff(field))))
 
 
-def _face_gradient_sq(f: np.ndarray, g: Grid1D, bc: str, far: float) -> float:
-    """integral |d_x f|**2 over the cell faces (one wrap face if periodic)."""
-    ext = pad_field(f, 1, mode=bc, far=far)
-    d = np.diff(ext[1:] if bc == "periodic" else ext) / g.dx
-    return float(np.sum(d * d) * g.dx)
+def _face_gradient_sq(ext: np.ndarray, g: Grid1D, bc: str,
+                      d: np.ndarray | None = None) -> float:
+    """integral |d_x f|**2 over the cell faces (one wrap face if periodic) of
+    a cell field padded by one ghost per side under `bc`; `d` (at least
+    len(ext) - 1 long) is scratch."""
+    if bc == "periodic":
+        ext = ext[1:]
+    if d is not None:
+        d = d[:len(ext) - 1]
+    d = np.subtract(ext[1:], ext[:-1], out=d)
+    d /= g.dx
+    d *= d
+    return float(np.sum(d) * g.dx)
 
 
 def h1_phi1(s: State, g: Grid1D, p: Params, bc: str) -> float:
@@ -89,8 +98,8 @@ def h1_phi1(s: State, g: Grid1D, p: Params, bc: str) -> float:
 
     Diverges like dx**-1/2 on a density jump and converges on continuous
     profiles: the measurable form of the regularization dichotomy."""
-    return math.sqrt(_face_gradient_sq(phi1(s.rho, p), g, bc,
-                                       float(phi1(p.rho_bar, p))))
+    ext = pad_field(phi1(s.rho, p), 1, mode=bc, far=float(phi1(p.rho_bar, p)))
+    return math.sqrt(_face_gradient_sq(ext, g, bc))
 
 
 def jump_amplitude(rho: np.ndarray, g: Grid1D, x0: float) -> float:
@@ -131,15 +140,23 @@ def gronwall_envelope(traj):
     return env, verdict
 
 
-def bd_dissipation_rate(rho: np.ndarray, g: Grid1D, p: Params,
-                        bc: str) -> float:
+def bd_dissipation_rate(rho: np.ndarray, g: Grid1D, p: Params, bc: str,
+                        scratch=None) -> float:
     """Instantaneous entropy dissipation
     (4 a gamma mu / (gamma+alpha-1)**2) * int |d_x rho**((gamma+alpha-1)/2)|**2
-    plus the analogous regularization-viscosity term for finite n."""
+    plus the analogous regularization-viscosity term for finite n.
+    `scratch`, two arrays at least len(rho) + 2 long, replaces the padded
+    field and its differences."""
+    n = len(rho)
+    ext, d = scratch if scratch is not None else (np.empty(n + 2), None)
+    ext = ext[:n + 2]
+
     def term(coef_mu: float, expo: float) -> float:
         e = 0.5 * (p.gamma + expo - 1.0)
+        powf(rho, e, out=ext[1:-1])
+        fill_ghosts(ext, 1, bc, float(p.rho_bar ** e))
         return (4.0 * p.a * p.gamma * coef_mu / (p.gamma + expo - 1.0) ** 2) \
-            * _face_gradient_sq(powf(rho, e), g, bc, float(p.rho_bar ** e))
+            * _face_gradient_sq(ext, g, bc, d)
 
     out = term(p.mu, p.alpha)
     if p.has_reg_term:

@@ -212,6 +212,8 @@ def config_from_mapping(raw: dict) -> RunConfig:
     params = build("params", base.params if base else Params())
     grid = build("grid", Grid1D(-20.0, 20.0, 1024))
     scheme = build("scheme", SchemeConfig())
+    if "flux" in fields["scheme"] and scheme.formulation == "effective":
+        errors.append("scheme.flux: applies only to the primitive formulation")
     study = build("study", StudySpec())
     # without a preset the density defaults to the (overridden) rho_bar
     scenario = replace(base or ScenarioSpec("custom", params,
@@ -298,6 +300,8 @@ def write_artifacts(traj: Trajectory, cfg: RunConfig, out_dir: str) -> dict:
     summary = {
         "status": traj.status,
         "steps": traj.steps,
+        "dt_min": traj.dt_min,
+        "dt_max": traj.dt_max,
         "cells": cfg.grid.cells,
         "t_final": traj.records[-1].t,
         "mass_error_max": traj.mass_error_max,

@@ -22,9 +22,9 @@ from .core import (
     Params,
     State,
     VacuumError,
-    centered_gradient,
+    centered_difference,
+    fill_ghosts,
     from_effective,
-    pad_field,
     phi,
     powf,
     pressure,
@@ -71,6 +71,10 @@ class Trajectory:
     mass_error_max: float = 0.0   # per-step relative mass-balance defect
     mass_error_accum: float = 0.0  # accumulated relative defect over the run
     warnings: list = field(default_factory=list)  # the scenario's warnings
+    # smallest and largest CFL step taken, before clipping to t_end;
+    # None when the run took no step
+    dt_min: Optional[float] = None
+    dt_max: Optional[float] = None
 
     @property
     def final_state(self) -> State:
@@ -81,154 +85,283 @@ class Trajectory:
         return [r for _, r in self.snapshots]
 
 
+class Workspace:
+    """The arrays one run's steps write into, allocated once per run.
+
+    `rho` and `mom` hold the state padded by two ghost cells per side (the
+    MUSCL stencil); `tmp` is scratch for slopes, faces, fluxes, the viscous
+    or diffusion term, the relaxation, `cfl_dt` and the per-step BD rate;
+    `spare` receives the next state, and `run` hands the replaced state's
+    arrays back as the new spare once the step is accepted.  Primitive
+    steps use 8 scratch arrays and effective steps 6, so a workspace holds
+    12 or 10 cell-sized arrays.  They are allocated as two blocks, the
+    spare pair apart, so that the state last swapped in does not keep the
+    scratch alive.  A workspace is private to one run: concurrent runs (the
+    studies' threads) each build their own.
+    """
+
+    SCRATCH = {"primitive": 8, "effective": 6}
+
+    def __init__(self, cells: int, formulation: str):
+        padded = np.empty((2 + self.SCRATCH[formulation], cells + 4))
+        self.rho, self.mom, *self.tmp = padded
+        self.spare = tuple(np.empty((2, cells)))
+        self.mask = np.empty(cells + 4, dtype=bool)
+
+
 def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
-           cfg: SchemeConfig) -> float:
+           cfg: SchemeConfig, ws: Optional[Workspace] = None) -> float:
     """Advective + diffusive stable step: safety * min over cells of
     min(dx/(|speed|+c), 0.5*dx**2*rho/mu_n(rho))."""
     effective = cfg.formulation == "effective"
+    if ws is None:
+        ws = Workspace(g.cells, cfg.formulation)
     rho = s.rho
     mom = s.w if effective else s.m
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(mom))):
+    n = len(rho)
+    ok = ws.mask[:n]
+    if not (np.isfinite(rho, out=ok).all() and np.isfinite(mom, out=ok).all()):
         raise NonFiniteStateError("non-finite density or momentum")
-    if np.any(rho <= 0):
+    if np.less_equal(rho, 0, out=ok).any():
         raise VacuumError("cfl_dt requires positive density")
-    speed = np.abs(mom / rho)
+    t0, t1, t2 = (t[:n] for t in ws.tmp[:3])
+    v = np.divide(mom, rho, out=t0)
+    speed = np.abs(v, out=t1)
     if effective:
         # the drift carries v while convection carries u = v - d_x phi(rho)
-        grad_phi = centered_gradient(phi(rho, p), g, mode=cfg.bc,
-                                     boundary=float(phi(p.rho_bar, p)))
-        speed = np.maximum(speed, np.abs(mom / rho - grad_phi))
-    adv = g.dx / np.max(speed + sound_speed(rho, p))
-    diff = 0.5 * g.dx ** 2 * np.min(rho / viscosity(rho, p))
+        ext = ws.tmp[3][:n + 2]
+        phi(rho, p, out=ext[1:-1], scratch=t2)
+        fill_ghosts(ext, 1, cfg.bc, float(phi(p.rho_bar, p)))
+        u = np.subtract(v, centered_difference(ext, g, out=t2), out=t2)
+        np.maximum(speed, np.abs(u, out=u), out=speed)
+    speed += sound_speed(rho, p, out=t0)
+    adv = g.dx / np.max(speed)
+    mu = viscosity(rho, p, out=t0, scratch=t1)
+    diff = 0.5 * g.dx ** 2 * np.min(np.divide(rho, mu, out=mu))
     return cfg.cfl_safety * min(float(adv), float(diff))
 
 
-def _slopes(q: np.ndarray, limiter: str) -> np.ndarray:
-    # limited slope for cells 1..len(q)-2 of a padded array; SchemeConfig
-    # admits only "none", "minmod" and "mc"
-    dm = q[1:-1] - q[:-2]
-    dp = q[2:] - q[1:-1]
+def _slopes(q: np.ndarray, limiter: str, a, b, c, d, mask) -> np.ndarray:
+    # limited slope for cells 1..len(q)-2 of a padded array, written into a;
+    # b, c, d and mask are scratch.  SchemeConfig admits only "none",
+    # "minmod" and "mc"
+    n = len(q) - 2
+    a, b, c, d, mask = a[:n], b[:n], c[:n], d[:n], mask[:n]
+    dm = np.subtract(q[1:-1], q[:-2], out=a)
+    dp = np.subtract(q[2:], q[1:-1], out=b)
     if limiter == "none":
-        return 0.5 * (dm + dp)
+        dm += dp
+        dm *= 0.5
+        return dm
+    np.greater(np.multiply(dm, dp, out=c), 0.0, out=mask)
+    mag = np.abs(dm, out=c)
     if limiter == "minmod":
-        return np.where(dm * dp > 0.0,
-                        np.sign(dm) * np.minimum(np.abs(dm), np.abs(dp)), 0.0)
-    s = np.sign(dm)
-    mag = np.minimum(np.minimum(2.0 * np.abs(dm), 2.0 * np.abs(dp)),
-                     0.5 * np.abs(dm + dp))
-    return np.where(dm * dp > 0.0, s * mag, 0.0)
+        np.minimum(mag, np.abs(dp, out=d), out=mag)
+    else:
+        mag *= 2.0
+        np.minimum(mag, np.multiply(np.abs(dp, out=d), 2.0, out=d), out=mag)
+        half_sum = np.add(dm, dp, out=d)
+        np.abs(half_sum, out=half_sum)
+        half_sum *= 0.5
+        np.minimum(mag, half_sum, out=mag)
+    signed = np.sign(dm, out=b)
+    signed *= mag
+    return _select(mask, signed, 0.0, out=a)
 
 
-def _faces(q: np.ndarray, limiter: str):
+def _select(mask, x, y, out):
+    # np.where(mask, x, y) written into out
+    np.copyto(out, y)
+    np.copyto(out, x, where=mask)
+    return out
+
+
+def _faces(q: np.ndarray, limiter: str, qL, qR, a, b, mask):
     # left/right interface states for the cells-1 .. cells interfaces of a
-    # width-2 padded array: returns arrays of length len(q)-3
-    sig = _slopes(q, limiter)
-    qL = q[1:-2] + 0.5 * sig[:-1]
-    qR = q[2:-1] - 0.5 * sig[1:]
-    return qL, qR
+    # width-2 padded array, written into qL and qR (arrays of length
+    # len(q)-3); a, b and mask are scratch
+    n = len(q) - 3
+    half = _slopes(q, limiter, a, b, qL, qR, mask)
+    half *= 0.5
+    return (np.add(q[1:-2], half[:-1], out=qL[:n]),
+            np.subtract(q[2:-1], half[1:], out=qR[:n]))
 
 
-def _pad2(s_rho, s_mom, p: Params, cfg: SchemeConfig):
-    rho = pad_field(s_rho, 2, mode=cfg.bc, far=p.rho_bar)
-    mom = pad_field(s_mom, 2, mode=cfg.bc)
-    return rho, mom
+def _pad2(s_rho, s_mom, p: Params, cfg: SchemeConfig, ws: Workspace):
+    rho, mom = ws.rho, ws.mom
+    rho[2:-2] = s_rho
+    mom[2:-2] = s_mom
+    return (fill_ghosts(rho, 2, cfg.bc, p.rho_bar),
+            fill_ghosts(mom, 2, cfg.bc, 0.0))
+
+
+def _update(q: np.ndarray, flux: np.ndarray, dt: float, dx: float, out):
+    # q - (dt/dx) * (flux[1:] - flux[:-1]) written into out
+    step = np.subtract(flux[1:], flux[:-1], out=out)
+    step *= dt / dx
+    return np.subtract(q, step, out=out)
+
+
+def _add_source(q: np.ndarray, rate: np.ndarray, dt: float, scratch):
+    # q + dt * rate, in place
+    q += np.multiply(rate, dt, out=scratch[:len(q)])
 
 
 def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
-                   cfg: SchemeConfig, source: Source = None):
-    """One conservative update of (rho, rho*u); returns the new State and the
-    boundary mass fluxes (left, right) for exact mass-balance audits."""
+                   cfg: SchemeConfig, source: Source = None,
+                   ws: Optional[Workspace] = None):
+    """One conservative update of (rho, rho*u); returns the new State, held
+    in the workspace's spare arrays, and the boundary mass fluxes (left,
+    right) for exact mass-balance audits."""
+    if ws is None:
+        ws = Workspace(g.cells, "primitive")
     dx = g.dx
-    rho, m = _pad2(s.rho, s.m, p, cfg)
+    nf = g.cells + 1  # faces
+    t = ws.tmp
+    rho, m = _pad2(s.rho, s.m, p, cfg, ws)
+    rho_new, m_new = ws.spare
 
-    rhoL, rhoR = _faces(rho, cfg.limiter)
-    mL, mR = _faces(m, cfg.limiter)
-    uL = mL / rhoL
-    uR = mR / rhoR
+    rhoL, rhoR = _faces(rho, cfg.limiter, t[2], t[3], t[0], t[1], ws.mask)
+    mL, mR = _faces(m, cfg.limiter, t[4], t[5], t[0], t[1], ws.mask)
+    uL = np.divide(mL, rhoL, out=t[0][:nf])
+    uR = np.divide(mR, rhoR, out=t[1][:nf])
+    y, z = (b[:nf] for b in t[6:8])
 
     if cfg.flux == "rusanov":
-        smax = np.maximum(np.abs(uL) + sound_speed(rhoL, p),
-                          np.abs(uR) + sound_speed(rhoR, p))
-        f_mass = 0.5 * (mL + mR) - 0.5 * smax * (rhoR - rhoL)
-        f_mom = 0.5 * (mL * uL + pressure(rhoL, p)
-                       + mR * uR + pressure(rhoR, p)) \
-            - 0.5 * smax * (mR - mL)
+        f_mom = np.multiply(mL, uL, out=y)
+        f_mom += pressure(rhoL, p, out=z)
+        f_mom += np.multiply(mR, uR, out=z)
+        f_mom += pressure(rhoR, p, out=z)
+        f_mom *= 0.5
+        # 0.5 * smax, in the arrays of uL and uR (neither is needed again)
+        half_smax = np.abs(uL, out=uL)
+        half_smax += sound_speed(rhoL, p, out=z)
+        speed_R = np.abs(uR, out=uR)
+        speed_R += sound_speed(rhoR, p, out=z)
+        np.maximum(half_smax, speed_R, out=half_smax)
+        half_smax *= 0.5
+        f_mass = np.add(mL, mR, out=speed_R)
+        f_mass *= 0.5
+        f_mass -= np.multiply(half_smax, np.subtract(rhoR, rhoL, out=z), out=z)
+        f_mom -= np.multiply(half_smax, np.subtract(mR, mL, out=z), out=z)
     else:  # upwind convection, centered pressure
-        ubar = 0.5 * (uL + uR)
-        up = ubar > 0.0
-        f_mass = ubar * np.where(up, rhoL, rhoR)
-        f_mom = ubar * np.where(up, mL, mR) \
-            + 0.5 * (pressure(rhoL, p) + pressure(rhoR, p))
+        ubar = np.add(uL, uR, out=uL)
+        ubar *= 0.5
+        up = np.greater(ubar, 0.0, out=ws.mask[:nf])
+        f_mass = np.multiply(ubar, _select(up, rhoL, rhoR, out=uR), out=uR)
+        f_mom = np.multiply(ubar, _select(up, mL, mR, out=y), out=y)
+        pbar = np.add(pressure(rhoL, p, out=z), pressure(rhoR, p, out=ubar),
+                      out=z)
+        pbar *= 0.5
+        f_mom += pbar
+    fluxes = (float(f_mass[0]), float(f_mass[-1]))
+    _update(s.rho, f_mass, dt, dx, rho_new)
 
     # centered viscous flux with harmonic-mean face viscosity
-    u_cells = m[1:-1] / rho[1:-1]
-    mu_c = viscosity(rho[1:-1], p)
-    mu_face = 2.0 * mu_c[:-1] * mu_c[1:] / (mu_c[:-1] + mu_c[1:])
-    f_mom = f_mom - mu_face * (u_cells[1:] - u_cells[:-1]) / dx
-
-    rho_new = s.rho - (dt / dx) * (f_mass[1:] - f_mass[:-1])
-    m_new = s.m - (dt / dx) * (f_mom[1:] - f_mom[:-1])
+    u_cells = np.divide(m[1:-1], rho[1:-1], out=t[0][:nf + 1])
+    mu_c = viscosity(rho[1:-1], p, out=t[1][:nf + 1], scratch=t[2][:nf + 1])
+    mu_face = np.multiply(mu_c[:-1], 2.0, out=t[2][:nf])
+    mu_face *= mu_c[1:]
+    mu_face /= np.add(mu_c[:-1], mu_c[1:], out=z)
+    visc = np.multiply(mu_face, np.subtract(u_cells[1:], u_cells[:-1], out=z),
+                       out=z)
+    visc /= dx
+    f_mom -= visc
+    _update(s.m, f_mom, dt, dx, m_new)
 
     if source is not None:
         s_rho, s_mom = source(g.centers(), s.t)
-        rho_new = rho_new + dt * s_rho
-        m_new = m_new + dt * s_mom
+        _add_source(rho_new, s_rho, dt, z)
+        _add_source(m_new, s_mom, dt, z)
 
     if np.min(rho_new) < cfg.floor(p):
         raise VacuumError(f"density fell below the vacuum floor at t={s.t:g}")
-    return State(rho_new, m_new, s.t + dt), (float(f_mass[0]), float(f_mass[-1]))
+    return State(rho_new, m_new, s.t + dt), fluxes
 
 
 def step_effective(e: EffectiveState, dt: float, g: Grid1D, p: Params,
-                   cfg: SchemeConfig, source: Source = None):
+                   cfg: SchemeConfig, source: Source = None,
+                   ws: Optional[Workspace] = None):
     """One update of (rho, w = rho*v): upwinded drift/convection, centered
     density diffusion, exact integrating factor on the pressure relaxation
-    with u frozen at the start of the step."""
+    with u frozen at the start of the step.  The new EffectiveState is held
+    in the workspace's spare arrays."""
+    if ws is None:
+        ws = Workspace(g.cells, "effective")
     dx = g.dx
-    rho, w = _pad2(e.rho, e.w, p, cfg)
-    v = w / rho
-    # u = v - d_x phi(rho), available on cells -1..N (one ghost layer)
-    phi_ext = phi(rho, p)
-    u_ext = v[1:-1] - (phi_ext[2:] - phi_ext[:-2]) / (2.0 * dx)
+    nf = g.cells + 1  # faces
+    t = ws.tmp
+    rho, w = _pad2(e.rho, e.w, p, cfg, ws)
+    rho_new, w_new = ws.spare
+    v = np.divide(w, rho, out=t[0])
+    # u = v - d_x phi(rho), available on cells -1..N (one ghost layer);
+    # it lives in t[5] until the relaxation, which uses t[0..2]
+    phi_ext = phi(rho, p, out=t[1], scratch=t[2])
+    u_ext = centered_difference(phi_ext, g, out=t[5][:nf + 1])
+    np.subtract(v[1:-1], u_ext, out=u_ext)
 
     # density: drift by v (upwind on reconstructed rho) + nonlinear diffusion
-    rhoL, rhoR = _faces(rho, cfg.limiter)
-    vbar = 0.5 * (v[1:-2] + v[2:-1])
-    f_drift = vbar * np.where(vbar > 0.0, rhoL, rhoR)
-    dcoef = viscosity(rho[1:-1], p) / rho[1:-1]
-    d_face = 2.0 * dcoef[:-1] * dcoef[1:] / (dcoef[:-1] + dcoef[1:])
-    f_diff = -d_face * (rho[2:-1] - rho[1:-2]) / dx
-    f_mass = f_drift + f_diff
-    rho_new = e.rho - (dt / dx) * (f_mass[1:] - f_mass[:-1])
+    rhoL, rhoR = _faces(rho, cfg.limiter, t[3], t[4], t[1], t[2], ws.mask)
+    vbar = np.add(v[1:-2], v[2:-1], out=t[1][:nf])
+    vbar *= 0.5
+    up = np.greater(vbar, 0.0, out=ws.mask[:nf])
+    f_mass = np.multiply(vbar, _select(up, rhoL, rhoR, out=t[0][:nf]),
+                         out=t[0][:nf])
+    dcoef = viscosity(rho[1:-1], p, out=t[1][:nf + 1], scratch=t[2][:nf + 1])
+    dcoef /= rho[1:-1]
+    d_face = np.multiply(dcoef[:-1], 2.0, out=t[3][:nf])
+    d_face *= dcoef[1:]
+    d_face /= np.add(dcoef[:-1], dcoef[1:], out=t[4][:nf])
+    f_diff = np.negative(d_face, out=d_face)
+    f_diff *= np.subtract(rho[2:-1], rho[1:-2], out=t[4][:nf])
+    f_diff /= dx
+    f_mass += f_diff
+    fluxes = (float(f_mass[0]), float(f_mass[-1]))
+    _update(e.rho, f_mass, dt, dx, rho_new)
 
     # effective momentum: convection by u (upwind on reconstructed w)
-    wL, wR = _faces(w, cfg.limiter)
-    ubar = 0.5 * (u_ext[:-1] + u_ext[1:])
-    f_w = ubar * np.where(ubar > 0.0, wL, wR)
-    w_star = e.w - (dt / dx) * (f_w[1:] - f_w[:-1])
+    wL, wR = _faces(w, cfg.limiter, t[3], t[4], t[0], t[1], ws.mask)
+    ubar = np.add(u_ext[:-1], u_ext[1:], out=t[0][:nf])
+    ubar *= 0.5
+    up = np.greater(ubar, 0.0, out=ws.mask[:nf])
+    f_w = np.multiply(ubar, _select(up, wL, wR, out=t[1][:nf]), out=t[1][:nf])
+    w_star = _update(e.w, f_w, dt, dx, w_new)
 
     if source is not None:
         s_rho, s_w = source(g.centers(), e.t)
-        rho_new = rho_new + dt * s_rho
-        w_star = w_star + dt * s_w
+        _add_source(rho_new, s_rho, dt, t[0])
+        _add_source(w_star, s_w, dt, t[0])
 
     if np.min(rho_new) < cfg.floor(p):
         raise VacuumError(f"density fell below the vacuum floor at t={e.t:g}")
 
     u_in = u_ext[1:-1]
-    w_new = relax_effective_momentum(w_star, rho_new, u_in, dt, p)
-    return (EffectiveState(rho_new, w_new, e.t + dt),
-            (float(f_mass[0]), float(f_mass[-1])))
+    relax_effective_momentum(w_star, rho_new, u_in, dt, p, ws=ws)
+    return EffectiveState(rho_new, w_new, e.t + dt), fluxes
 
 
 def relax_effective_momentum(w: np.ndarray, rho: np.ndarray, u: np.ndarray,
-                             dt: float, p: Params) -> np.ndarray:
+                             dt: float, p: Params,
+                             ws: Optional[Workspace] = None) -> np.ndarray:
     """Exact integrating factor for d(v)/dt = -kappa (v - u) with frozen u,
-    kappa = a*gamma*rho**gamma / mu_n(rho); |v - u| is nonincreasing."""
-    kappa = p.a * p.gamma * powf(rho, p.gamma) / viscosity(rho, p)
-    v = w / rho
-    v_new = u + (v - u) * np.exp(-kappa * dt)
-    return rho * v_new
+    kappa = a*gamma*rho**gamma / mu_n(rho); |v - u| is nonincreasing.  The
+    result is written into the workspace's spare momentum array, which may
+    be w itself; it uses scratch arrays 0-2 only."""
+    n = len(rho)
+    if ws is None:
+        ws = Workspace(n, "effective")
+    t0, t1, t2 = (t[:n] for t in ws.tmp[:3])
+    kappa = powf(rho, p.gamma, out=t0)
+    kappa *= p.a * p.gamma
+    kappa /= viscosity(rho, p, out=t1, scratch=t2)
+    decay = np.negative(kappa, out=kappa)
+    decay *= dt
+    np.exp(decay, out=decay)
+    v = np.divide(w, rho, out=t1)  # becomes u + (v - u) * decay
+    v -= u
+    v *= decay
+    v += u
+    return np.multiply(rho, v, out=ws.spare[1][:n])
 
 
 def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
@@ -236,7 +369,9 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
         source: Source = None, jump_x0: float = 0.0) -> Trajectory:
     """Advance to t_end with the stepper of cfg.formulation and CFL-controlled
     steps, recording diagnostics snapshots at the requested cadence plus the
-    first and last states; a non-finite state ends the run ("nonfinite")."""
+    first and last states; a non-finite state ends the run ("nonfinite").
+    The steps write into one Workspace built for this call; snapshots are
+    copies."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be nonnegative and finite")
     if record_every is not None and not (math.isfinite(record_every)
@@ -255,6 +390,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     prev_rate = diagnostics.bd_dissipation_rate(state.rho, g, p, cfg.bc)
     mass_prev = float(np.sum(state.rho)) * dx
     mass_scale = abs(mass_prev) if mass_prev != 0 else 1.0
+    dt_lo, dt_hi = math.inf, 0.0
 
     base_l1 = None
 
@@ -270,21 +406,30 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             dissipation_bd=diss_acc)))
 
     record(state)
+    # built after the first snapshot and released before the last one, so
+    # that their copies and temporaries do not add to its memory
+    ws = Workspace(g.cells, cfg.formulation)
+    rate_scratch = ws.tmp[:2]
     next_record = record_every if record_every else math.inf
     stepper = step_effective if effective else step_primitive
     tiny = 1e-12 * max(t_end, 1.0)
 
     try:
-        dt_cfl = cfl_dt(state, g, p, cfg)
+        dt_cfl = cfl_dt(state, g, p, cfg, ws=ws)
         while state.t < t_end - tiny:
             if traj.steps >= cfg.max_steps:
                 traj.status = "step_budget_exhausted"
                 break
             dt = min(dt_cfl, t_end - state.t)
-            new, (f_left, f_right) = stepper(state, dt, g, p, cfg, source)
-            dt_cfl = cfl_dt(new, g, p, cfg)  # rejects a non-finite state
+            new, (f_left, f_right) = stepper(state, dt, g, p, cfg, source,
+                                             ws=ws)
+            dt_next = cfl_dt(new, g, p, cfg, ws=ws)  # rejects non-finite
+            # accepted: the replaced state's arrays take the next step
+            ws.spare = (state.rho, state.w if effective else state.m)
             state = new
             traj.steps += 1
+            dt_lo, dt_hi = min(dt_lo, dt_cfl), max(dt_hi, dt_cfl)
+            dt_cfl = dt_next
 
             # exact discrete mass balance audit (meaningless under forcing)
             mass_now = float(np.sum(state.rho)) * dx
@@ -299,11 +444,12 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             sup = diagnostics.gronwall_sup_bound(state.rho, p)
             gron_acc += 0.5 * (prev_sup + sup) * dt
             prev_sup = sup
-            rate = diagnostics.bd_dissipation_rate(state.rho, g, p, cfg.bc)
+            rate = diagnostics.bd_dissipation_rate(state.rho, g, p, cfg.bc,
+                                                   scratch=rate_scratch)
             diss_acc += 0.5 * (prev_rate + rate) * dt
             prev_rate = rate
 
-            if state.t >= next_record - tiny or state.t >= t_end - tiny:
+            if state.t >= next_record - tiny:
                 record(state)
                 while next_record <= state.t + tiny:
                     next_record += record_every if record_every else math.inf
@@ -312,6 +458,9 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     except NonFiniteStateError:
         traj.status = "nonfinite"
 
+    if traj.steps:
+        traj.dt_min, traj.dt_max = dt_lo, dt_hi
+    del ws, rate_scratch
     if traj.records[-1].t < state.t - tiny:
         record(state)
     return traj

@@ -72,8 +72,6 @@ def test_grid_basic():
         Grid1D(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         Grid1D(1.0, 0.0, 8)
-    with pytest.raises(ValueError):
-        Grid1D(0.0, 1.0, 8, ghost=1)
     for lo, hi in ((0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
         with pytest.raises(ValueError):
             Grid1D(lo, hi, 8)

@@ -178,6 +178,18 @@ def test_cli_bad_value_exits_2(override, tmp_path, capsys):
     assert err.startswith(f"config error: {override.split('.')[0]}")
 
 
+def test_cli_flux_on_effective_exits_2(tmp_path, capsys):
+    # the effective stepper always upwinds, so a flux choice there is an
+    # error, not a silent no-op
+    code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
+                     "--override", "scheme.formulation=effective",
+                     "--override", "scheme.flux=upwind"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(
+        "config error: scheme.flux: applies only to the primitive "
+        "formulation")
+
+
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert code == EXIT_VALIDATION
@@ -228,6 +240,7 @@ def test_run_scenario_artifacts(tmp_path):
     assert summary["status"] == "completed"
     assert summary["verdicts"]["mass_balance"] is True
     assert summary["mass_error_accum"] <= 1e-10
+    assert 0 < summary["dt_min"] <= summary["dt_max"]
 
 
 def test_simulate_deterministic():

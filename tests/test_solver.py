@@ -1,7 +1,9 @@
 """Unit tests for the time steppers: CFL control, exact structural
 properties (fixed points, translation invariance, mass balance, mirror
 symmetry), failure statuses, and both flux/limiter options."""
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,11 @@ def theo1_state(cells=320):
     g = small_grid(cells)
     built = build_scenario(preset_scenario("theo1"), g)
     return g, built
+
+
+def _bytes(state):
+    mom = state.w if isinstance(state, EffectiveState) else state.m
+    return state.rho.tobytes(), mom.tobytes(), state.t
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +176,12 @@ def test_vacuum_breach_status():
     traj = run(State(rho, m), 1.0, g, Params(), SchemeConfig())
     assert traj.status == "vacuum_breach"
     assert 0.0 < traj.records[-1].t < 1.0
+    # the failed step half-wrote the workspace's spare arrays; the run ends
+    # at the state a run stopped just before that step ends at
+    stopped = run(State(rho, m), 1.0, g, Params(),
+                  SchemeConfig(max_steps=traj.steps))
+    assert stopped.status == "step_budget_exhausted"
+    assert _bytes(stopped.final_state) == _bytes(traj.final_state)
 
 
 def test_step_budget_status():
@@ -277,3 +290,140 @@ def test_flux_limiter_variants_stay_stable(flux, limiter):
 def test_unknown_limiter_rejected():
     with pytest.raises(ValueError, match="limiter"):
         SchemeConfig(limiter="superbee")
+
+
+# ---------------------------------------------------------------------------
+# the per-run workspace
+
+
+def hand_run(initial, t_end, g, p, cfg, record_every):
+    """run() replayed with the public steppers, cfl_dt and diagnostics, each
+    called without a workspace; returns (snapshots, steps, mass audit, the
+    CFL step of every step taken)."""
+    effective = cfg.formulation == "effective"
+    stepper = step_effective if effective else step_primitive
+    tiny = 1e-12 * max(t_end, 1.0)
+    state = initial
+    gron = diss = mass_max = mass_acc = 0.0
+    sup = diagnostics.gronwall_sup_bound(state.rho, p)
+    rate = diagnostics.bd_dissipation_rate(state.rho, g, p, cfg.bc)
+    mass = scale = float(np.sum(state.rho)) * g.dx
+    snaps, dts = [], []
+
+    def snap():
+        sv = (core.from_effective(state, g, p, mode=cfg.bc) if effective
+              else state)
+        w = state.w if effective else core.to_effective(
+            state, g, p, mode=cfg.bc).w
+        base = (sum(diagnostics.l1_momenta(sv, w, g)) if not snaps
+                else snaps[0][2])
+        snaps.append((sv, diagnostics.compute_record(
+            sv, w, g, p, cfg.bc, gronwall_rhs=base * math.exp(3.0 * gron),
+            dissipation_bd=diss), base))
+
+    snap()
+    next_record = record_every
+    dt_cfl = cfl_dt(state, g, p, cfg)
+    while state.t < t_end - tiny:
+        dt = min(dt_cfl, t_end - state.t)
+        state, (f_left, f_right) = stepper(state, dt, g, p, cfg)
+        dts.append(dt_cfl)
+        dt_cfl = cfl_dt(state, g, p, cfg)
+        mass_now = float(np.sum(state.rho)) * g.dx
+        defect = abs(mass_now - mass - (f_left - f_right) * dt) / scale
+        mass_max, mass_acc = max(mass_max, defect), mass_acc + defect
+        mass = mass_now
+        new_sup = diagnostics.gronwall_sup_bound(state.rho, p)
+        gron += 0.5 * (sup + new_sup) * dt
+        new_rate = diagnostics.bd_dissipation_rate(state.rho, g, p, cfg.bc)
+        diss += 0.5 * (rate + new_rate) * dt
+        sup, rate = new_sup, new_rate
+        if state.t >= next_record - tiny:
+            snap()
+            while next_record <= state.t + tiny:
+                next_record += record_every
+    if snaps[-1][0].t < state.t - tiny:
+        snap()
+    return [(s, r) for s, r, _ in snaps], len(dts), (mass_max, mass_acc), dts
+
+
+WORKSPACE_CASES = [
+    *itertools.product(["primitive", "effective"], ["farfield", "periodic"],
+                       ["mc", "minmod", "none"], ["rusanov"]),
+    ("primitive", "farfield", "mc", "upwind"),
+    ("primitive", "periodic", "minmod", "upwind"),
+]
+
+
+@pytest.mark.parametrize("formulation, bc, limiter, flux", WORKSPACE_CASES)
+def test_run_matches_hand_loop_without_workspace(formulation, bc, limiter,
+                                                 flux):
+    g = Grid1D(-10.0, 10.0, 128)
+    p = Params()
+    built = build_scenario(preset_scenario("theo1"), g)
+    cfg = SchemeConfig(formulation=formulation, bc=bc, limiter=limiter,
+                       flux=flux)
+    initial = initial_state(built, g, p, cfg)
+    traj = run(initial, 0.05, g, p, cfg, record_every=0.02)
+    snaps, steps, audit, _ = hand_run(initial, 0.05, g, p, cfg, 0.02)
+    assert traj.status == "completed"
+    assert traj.steps == steps > 5
+    assert [_bytes(s) for s, _ in traj.snapshots] == \
+        [_bytes(s) for s, _ in snaps]
+    assert traj.records == [r for _, r in snaps]
+    assert (traj.mass_error_max, traj.mass_error_accum) == audit
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_dt_extremes_are_the_cfl_steps_taken(formulation):
+    # t_end is not a multiple of the step, so the last step is clipped; the
+    # clipped step does not count
+    g = Grid1D(-10.0, 10.0, 128)
+    p = Params(alpha=0.0)
+    built = build_scenario(preset_scenario("hoff"), g)
+    cfg = SchemeConfig(formulation=formulation)
+    initial = initial_state(built, g, p, cfg)
+    traj = run(initial, 0.0517, g, p, cfg)
+    *_, dts = hand_run(initial, 0.0517, g, p, cfg, math.inf)
+    times = [0.0] + list(np.cumsum(dts))
+    assert times[-1] > 0.0517 > times[-2]
+    assert 0.0517 - times[-2] < min(dts)
+    assert (traj.dt_min, traj.dt_max) == (min(dts), max(dts))
+    assert traj.dt_min < traj.dt_max
+    still = run(initial, 0.0, g, p, cfg)
+    assert (still.steps, still.dt_min, still.dt_max) == (0, None, None)
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_snapshots_own_their_arrays(formulation):
+    # the steps write into reused arrays, so every snapshot must be a copy
+    g, built = theo1_state(128)
+    cfg = SchemeConfig(formulation=formulation)
+    initial = initial_state(built, g, Params(), cfg)
+    traj = run(initial, 0.2, g, Params(), cfg, record_every=0.05)
+    assert len(traj.snapshots) == 5
+    arrays = [initial.rho, initial.w if formulation == "effective"
+              else initial.m]
+    arrays += [a for s, _ in traj.snapshots for a in (s.rho, s.m)]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("preset, formulation, before", [
+    ("theo1", "primitive", 21.1), ("hoff", "effective", 28.3)])
+def test_run_memory_peak(preset, formulation, before):
+    # peak of run() in cell-sized arrays; `before` is what the step loop
+    # peaked at when every step allocated its temporaries, and the
+    # workspace may hold at most 3 arrays more
+    cells = 4096
+    g = Grid1D(-20.0, 20.0, cells)
+    spec = preset_scenario(preset)
+    cfg = SchemeConfig(formulation=formulation)
+    initial = initial_state(build_scenario(spec, g), g, spec.params, cfg)
+    tracemalloc.start()
+    try:
+        run(initial, 0.002, g, spec.params, cfg)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * cells)
+    finally:
+        tracemalloc.stop()
+    assert peak <= before + 3
