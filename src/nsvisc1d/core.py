@@ -250,9 +250,14 @@ def pi_rel(rho, p: Params):
     rho = np.asarray(rho, dtype=float)
     g = p.gamma
     rb = p.rho_bar
-    return (p.a / (g - 1.0)) * (
-        powf(rho, g) - g * rho * rb ** (g - 1.0) + (g - 1.0) * rb ** g
-    )
+    # in place, in the order of the closed form above
+    out = powf(rho, g)
+    linear = np.multiply(g, rho)
+    linear *= rb ** (g - 1.0)
+    out -= linear
+    out += (g - 1.0) * rb ** g
+    out *= p.a / (g - 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +311,22 @@ def centered_gradient(field: np.ndarray, g: Grid1D, mode: str = "farfield",
     return centered_difference(pad_field(field, 1, mode=mode, far=boundary), g)
 
 
+def effective_momentum(rho: np.ndarray, m: np.ndarray, g: Grid1D, p: Params,
+                       mode: str = "farfield") -> np.ndarray:
+    """w = m + d_x phi1(rho), a new array: the transform's one definition."""
+    if np.any(rho <= 0):
+        raise VacuumError("effective_momentum requires positive density")
+    grad = centered_gradient(phi1(rho, p), g, mode=mode,
+                             boundary=float(phi1(p.rho_bar, p)))
+    grad += m
+    return grad
+
+
 def to_effective(s: State, g: Grid1D, p: Params,
                  mode: str = "farfield") -> EffectiveState:
-    """w = m + d_x phi1(rho)."""
-    if np.any(s.rho <= 0):
-        raise VacuumError("to_effective requires positive density")
-    grad = centered_gradient(phi1(s.rho, p), g, mode=mode,
-                             boundary=float(phi1(p.rho_bar, p)))
-    return EffectiveState(s.rho.copy(), s.m + grad, s.t)
+    """(rho, w = m + d_x phi1(rho))."""
+    return EffectiveState(s.rho.copy(),
+                          effective_momentum(s.rho, s.m, g, p, mode), s.t)
 
 
 def from_effective(e: EffectiveState, g: Grid1D, p: Params,

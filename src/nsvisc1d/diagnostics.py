@@ -63,14 +63,23 @@ def l1_momenta(s: State, w: np.ndarray, g: Grid1D) -> tuple:
 
 def bd_entropy(s: State, w: np.ndarray, g: Grid1D, p: Params) -> float:
     """0.5 * integral(rho*v**2 + relative pressure potential), v = w/rho."""
-    v = w / s.rho
-    return float(0.5 * np.sum(s.rho * v * v + pi_rel(s.rho, p)) * g.dx)
+    return _kinetic_plus_potential(s.rho, w, g, p)
 
 
 def energy(s: State, g: Grid1D, p: Params) -> float:
     """0.5 * integral(rho*u**2 + relative pressure potential)."""
-    u = s.m / s.rho
-    return float(0.5 * np.sum(s.rho * u * u + pi_rel(s.rho, p)) * g.dx)
+    return _kinetic_plus_potential(s.rho, s.m, g, p)
+
+
+def _kinetic_plus_potential(rho, mom, g: Grid1D, p: Params) -> float:
+    # 0.5 * integral(rho*(mom/rho)**2 + pi_rel(rho)), holding at most three
+    # cell arrays at once
+    vel = mom / rho
+    density = np.multiply(rho, vel)
+    density *= vel
+    del vel
+    density += pi_rel(rho, p)
+    return float(0.5 * np.sum(density) * g.dx)
 
 
 def total_variation(field: np.ndarray) -> float:

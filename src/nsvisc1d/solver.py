@@ -1,10 +1,13 @@
-"""Explicit conservative finite-volume time stepping for both formulations.
+"""Conservative finite-volume time stepping for both formulations.
 
-Primitive: mass/momentum fluxes by MUSCL-reconstructed Rusanov (or upwind)
-interface states plus a centered viscous flux with harmonic face viscosity.
-Effective: upwinded drift and convection, centered nonlinear density
-diffusion, and the stiff pressure relaxation handled by an exact
-integrating factor with the velocity frozen over the step.
+Primitive: explicit steps; mass/momentum fluxes by MUSCL-reconstructed
+Rusanov (or upwind) interface states plus a centered viscous flux with
+harmonic face viscosity, limited by the advective and diffusive CFL bounds.
+Effective: an IMEX ARS(2,2,2) step (Ascher, Ruuth & Spiteri 1997).  The
+upwinded drift of rho, the convection of w and the pressure relaxation are
+explicit; the nonlinear density diffusion (mu_n(rho)/rho rho_x)_x is
+linearly implicit, one tridiagonal cyclic-reduction solve per pass, so the
+step is limited by the advective bound alone.
 """
 from __future__ import annotations
 
@@ -23,13 +26,13 @@ from .core import (
     State,
     VacuumError,
     centered_difference,
+    effective_momentum,
     fill_ghosts,
     from_effective,
     phi,
     powf,
     pressure,
     sound_speed,
-    to_effective,
     viscosity,
 )
 
@@ -75,6 +78,9 @@ class Trajectory:
     # None when the run took no step
     dt_min: Optional[float] = None
     dt_max: Optional[float] = None
+    # the number of steps whose CFL step each limit set
+    dt_bound: dict = field(
+        default_factory=lambda: {"advective": 0, "diffusive": 0})
 
     @property
     def final_state(self) -> State:
@@ -90,29 +96,35 @@ class Workspace:
 
     `rho` and `mom` hold the state padded by two ghost cells per side (the
     MUSCL stencil); `tmp` is scratch for slopes, faces, fluxes, the viscous
-    or diffusion term, the relaxation, `cfl_dt` and the per-step BD rate;
-    `spare` receives the next state, and `run` hands the replaced state's
-    arrays back as the new spare once the step is accepted.  Primitive
-    steps use 8 scratch arrays and effective steps 6, so a workspace holds
-    12 or 10 cell-sized arrays.  They are allocated as two blocks, the
-    spare pair apart, so that the state last swapped in does not keep the
-    scratch alive.  A workspace is private to one run: concurrent runs (the
-    studies' threads) each build their own.
+    term, `cfl_dt` and the per-step BD rate, and on an effective run also
+    for the implicit solves and the step's two accumulators (the weighted
+    mass flux and the weighted rate of w); `spare` receives the next state,
+    and `run` hands the replaced state's arrays back as the new spare once
+    the step is accepted.  Primitive steps use 8 scratch arrays and
+    effective steps 10, so a workspace holds 12 or 14 cell-sized arrays.
+    They are allocated as two blocks, the spare pair apart, so that the
+    state last swapped in does not keep the scratch alive.  A workspace is
+    private to one run: concurrent runs (the studies' threads) each build
+    their own.  `cfl_dt` notes in `dt_bound` which limit set its step.
     """
 
-    SCRATCH = {"primitive": 8, "effective": 6}
+    SCRATCH = {"primitive": 8, "effective": 10}
 
     def __init__(self, cells: int, formulation: str):
         padded = np.empty((2 + self.SCRATCH[formulation], cells + 4))
         self.rho, self.mom, *self.tmp = padded
         self.spare = tuple(np.empty((2, cells)))
         self.mask = np.empty(cells + 4, dtype=bool)
+        self.dt_bound = None  # "advective" | "diffusive"
 
 
 def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
            cfg: SchemeConfig, ws: Optional[Workspace] = None) -> float:
-    """Advective + diffusive stable step: safety * min over cells of
-    min(dx/(|speed|+c), 0.5*dx**2*rho/mu_n(rho))."""
+    """Stable step: safety * dx / max(|speed| + c), and on a primitive run
+    also at most safety * 0.5 * dx**2 * min(rho / mu_n(rho)); the effective
+    stepper treats the diffusion implicitly, so its step is advective.
+    The effective speed is max(|v|, |u|).  Notes the binding limit in
+    `ws.dt_bound`."""
     effective = cfg.formulation == "effective"
     if ws is None:
         ws = Workspace(g.cells, cfg.formulation)
@@ -136,8 +148,12 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
         np.maximum(speed, np.abs(u, out=u), out=speed)
     speed += sound_speed(rho, p, out=t0)
     adv = g.dx / np.max(speed)
+    if effective:
+        ws.dt_bound = "advective"
+        return cfg.cfl_safety * float(adv)
     mu = viscosity(rho, p, out=t0, scratch=t1)
     diff = 0.5 * g.dx ** 2 * np.min(np.divide(rho, mu, out=mu))
+    ws.dt_bound = "advective" if adv <= diff else "diffusive"
     return cfg.cfl_safety * min(float(adv), float(diff))
 
 
@@ -279,65 +295,260 @@ def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
     return State(rho_new, m_new, s.t + dt), fluxes
 
 
-def step_effective(e: EffectiveState, dt: float, g: Grid1D, p: Params,
-                   cfg: SchemeConfig, source: Source = None,
-                   ws: Optional[Workspace] = None):
-    """One update of (rho, w = rho*v): upwinded drift/convection, centered
-    density diffusion, exact integrating factor on the pressure relaxation
-    with u frozen at the start of the step.  The new EffectiveState is held
-    in the workspace's spare arrays."""
-    if ws is None:
-        ws = Workspace(g.cells, "effective")
+# ARS(2,2,2): implicit weight GAMMA on the diagonal, explicit weight DELTA
+# on the first stage's rate in the last stage
+GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
+
+
+def solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                      d: np.ndarray, periodic: bool = False,
+                      work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Solve a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] by cyclic
+    reduction and write x into d; a, b and c are overwritten.
+
+    Without `periodic`, a[0] and c[-1] are ignored; with it they couple
+    row 0 to x[-1] and the last row to x[0], and a Sherman-Morrison
+    correction handles them.  The reduction does not pivot, so the matrix
+    must be diagonally dominant; a zero d gives an exactly zero x.  `work`
+    holds three more rows of len(d) (the Sherman-Morrison column, the
+    elimination factors and their products)."""
+    if work is None:
+        work = np.empty((3, len(d)))
+    z, fac, prod = work[0], work[1], work[2]
+    rhs = (d,)
+    if periodic:
+        lo, hi = float(a[0]), float(c[-1])
+        shift = -float(b[0])
+        b[0] -= shift
+        b[-1] -= lo * hi / shift
+        z = z[:len(d)]
+        z.fill(0.0)
+        z[0], z[-1] = shift, hi
+        rhs = (d, z)
+    a[0] = c[-1] = 0.0
+    _cyclic_reduction(a, b, c, rhs, fac, prod)
+    if periodic:
+        f = lo / shift
+        z *= (d[0] + f * d[-1]) / (1.0 + z[0] + f * z[-1])
+        d -= z
+    return d
+
+
+def _cyclic_reduction(a, b, c, rhs, fac, prod):
+    # in place: level k keeps its rows at a[2**k - 1 :: 2**k]; each level
+    # eliminates its even rows from its odd ones, which form the next level,
+    # and back substitution then solves the even rows level by level
+    levels = []
+    off, stride = 0, 1
+    while True:
+        view = slice(off, None, stride)
+        A, B, C = a[view], b[view], c[view]
+        k = len(B)
+        if k == 1:
+            for d in rhs:
+                np.divide(d[view], B, out=d[view])
+            break
+        m, r = k // 2, (k - 1) // 2  # odd rows; those with a right neighbour
+        levels.append((view, k, m))
+        alpha, beta, p = fac[:m], fac[m:m + r], prod[:m]
+        np.negative(np.divide(A[1::2], B[0:2 * m:2], out=alpha), out=alpha)
+        np.negative(np.divide(C[1:2 * r:2], B[2::2], out=beta), out=beta)
+        for d in rhs:
+            D = d[view]
+            d_odd, d_odd_r = D[1::2], D[1:2 * r:2]
+            d_odd += np.multiply(D[0:2 * m:2], alpha, out=p)
+            d_odd_r += np.multiply(D[2::2], beta, out=p[:r])
+        b_odd, b_odd_r = B[1::2], B[1:2 * r:2]
+        b_odd += np.multiply(C[0:2 * m:2], alpha, out=p)
+        b_odd_r += np.multiply(A[2::2], beta, out=p[:r])
+        np.multiply(A[0:2 * m:2], alpha, out=A[1::2])
+        np.multiply(C[2::2], beta, out=C[1:2 * r:2])
+        off, stride = off + stride, 2 * stride
+    for view, k, m in reversed(levels):
+        A, B, C = a[view], b[view], c[view]
+        e = (k + 1) // 2  # even rows
+        for d in rhs:
+            D = d[view]
+            d_even, d_odd = D[0::2], D[1::2]
+            # the even rows with an odd neighbour on that side
+            d_left, d_right = D[2::2], D[0:2 * m:2]
+            d_left -= np.multiply(A[2::2], d_odd[:e - 1], out=prod[:e - 1])
+            d_right -= np.multiply(C[0:2 * m:2], d_odd, out=prod[:m])
+            d_even /= B[0::2]
+
+
+def _diffusivity(q: np.ndarray, p: Params, out, s1, s2):
+    # harmonic face mean of mu_n(rho)/rho over a field padded by one ghost
+    # per side (len(q) - 1 faces), written into out; s1, s2 are scratch
+    nf = len(q) - 1
+    dcoef = viscosity(q, p, out=s1[:nf + 1], scratch=s2[:nf + 1])
+    dcoef /= q
+    d_face = np.multiply(dcoef[:-1], 2.0, out=out[:nf])
+    d_face *= dcoef[1:]
+    d_face /= np.add(dcoef[:-1], dcoef[1:], out=s2[:nf])
+    return d_face
+
+
+def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,
+               ws: Workspace, flux, rate):
+    # explicit part at a width-2 padded stage state: the drift mass flux on
+    # the cells+1 faces into flux and dw/dt (upwind convection by u plus the
+    # pressure relaxation -kappa*(w - rho*u)) into rate; scratch tmp[0..5]
     dx = g.dx
-    nf = g.cells + 1  # faces
+    n = g.cells
+    nf = n + 1  # faces
     t = ws.tmp
-    rho, w = _pad2(e.rho, e.w, p, cfg, ws)
-    rho_new, w_new = ws.spare
     v = np.divide(w, rho, out=t[0])
-    # u = v - d_x phi(rho), available on cells -1..N (one ghost layer);
-    # it lives in t[5] until the relaxation, which uses t[0..2]
+    # u = v - d_x phi(rho), available on cells -1..N (one ghost layer)
     phi_ext = phi(rho, p, out=t[1], scratch=t[2])
     u_ext = centered_difference(phi_ext, g, out=t[5][:nf + 1])
     np.subtract(v[1:-1], u_ext, out=u_ext)
 
-    # density: drift by v (upwind on reconstructed rho) + nonlinear diffusion
+    # density: drift by v, upwind on reconstructed rho
     rhoL, rhoR = _faces(rho, cfg.limiter, t[3], t[4], t[1], t[2], ws.mask)
     vbar = np.add(v[1:-2], v[2:-1], out=t[1][:nf])
     vbar *= 0.5
     up = np.greater(vbar, 0.0, out=ws.mask[:nf])
-    f_mass = np.multiply(vbar, _select(up, rhoL, rhoR, out=t[0][:nf]),
-                         out=t[0][:nf])
-    dcoef = viscosity(rho[1:-1], p, out=t[1][:nf + 1], scratch=t[2][:nf + 1])
-    dcoef /= rho[1:-1]
-    d_face = np.multiply(dcoef[:-1], 2.0, out=t[3][:nf])
-    d_face *= dcoef[1:]
-    d_face /= np.add(dcoef[:-1], dcoef[1:], out=t[4][:nf])
-    f_diff = np.negative(d_face, out=d_face)
-    f_diff *= np.subtract(rho[2:-1], rho[1:-2], out=t[4][:nf])
-    f_diff /= dx
-    f_mass += f_diff
-    fluxes = (float(f_mass[0]), float(f_mass[-1]))
-    _update(e.rho, f_mass, dt, dx, rho_new)
+    np.multiply(vbar, _select(up, rhoL, rhoR, out=t[0][:nf]), out=flux[:nf])
 
-    # effective momentum: convection by u (upwind on reconstructed w)
+    # effective momentum: convection by u, upwind on reconstructed w
     wL, wR = _faces(w, cfg.limiter, t[3], t[4], t[0], t[1], ws.mask)
     ubar = np.add(u_ext[:-1], u_ext[1:], out=t[0][:nf])
     ubar *= 0.5
     up = np.greater(ubar, 0.0, out=ws.mask[:nf])
     f_w = np.multiply(ubar, _select(up, wL, wR, out=t[1][:nf]), out=t[1][:nf])
-    w_star = _update(e.w, f_w, dt, dx, w_new)
+    dwdt = np.subtract(f_w[:-1], f_w[1:], out=rate[:n])
+    dwdt /= dx
+    rho_in, u_in = rho[2:-2], u_ext[1:-1]
+    gap = np.multiply(rho_in, u_in, out=t[0][:n])
+    np.subtract(w[2:-2], gap, out=gap)
+    gap *= _relaxation_rate(rho_in, p, t[2][:n], t[3][:n], t[4][:n])
+    dwdt -= gap
 
+
+def _relaxation_rate(rho, p: Params, out, s1, s2):
+    # kappa = a*gamma*rho**gamma / mu_n(rho), written into out
+    kappa = powf(rho, p.gamma, out=out)
+    kappa *= p.a * p.gamma
+    kappa /= viscosity(rho, p, out=s1, scratch=s2)
+    return kappa
+
+
+def _implicit_diffusion(rho, k: float, g: Grid1D, p: Params,
+                        cfg: SchemeConfig, ws: Workspace, flux, weight):
+    # solve rho* = rho + k (D(rho*) rho*_x)_x for the width-2 padded
+    # predictor rho, in place, and add weight times the solved diffusion
+    # flux -D_face (rho*_{i+1} - rho*_i)/dx to flux.  Each of two passes
+    # freezes D at the latest density (the predictor, then the first pass's
+    # solution, which keeps the step second order) and solves for the
+    # increment: I - k L is an M-matrix, so rho* stays positive.  Scratch
+    # tmp[0..7]
+    n = g.cells
+    nf = n + 1
+    t = ws.tmp
+    d_face, lower, diag, upper, x = t[0][:nf], t[1], t[2], t[3], t[4][:n]
+    s = k / g.dx ** 2
+    q = rho[1:-1]  # one ghost per side
+    for frozen_at_solution in (False, True):
+        if frozen_at_solution:
+            # the first pass's density, padded like rho
+            q = t[1][:n + 2]
+            np.add(rho[2:-2], x, out=q[1:-1])
+            fill_ghosts(q, 1, cfg.bc, p.rho_bar)
+        _diffusivity(q, p, d_face, t[2], t[3])
+        # right-hand side k L rho in flux form: zero for a constant rho
+        grad = np.subtract(rho[2:-1], rho[1:-2], out=t[5][:nf])
+        grad *= d_face
+        np.subtract(grad[1:], grad[:-1], out=x)
+        x *= s
+        np.multiply(d_face[:-1], -s, out=lower[:n])
+        np.multiply(d_face[1:], -s, out=upper[:n])
+        np.subtract(1.0, lower[:n], out=diag[:n])
+        np.subtract(diag[:n], upper[:n], out=diag[:n])
+        solve_tridiagonal(lower[:n], diag[:n], upper[:n], x,
+                          periodic=cfg.bc == "periodic", work=t[5:8])
+    rho_in = rho[2:-2]
+    rho_in += x
+    fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
+    grad = np.subtract(rho[2:-1], rho[1:-2], out=t[5][:nf])
+    grad *= d_face
+    grad *= -weight / g.dx
+    flux += grad
+
+
+def _check_floor(rho, cfg: SchemeConfig, p: Params, t: float):
+    if np.min(rho) < cfg.floor(p):
+        raise VacuumError(f"density fell below the vacuum floor at t={t:g}")
+
+
+def step_effective(e: EffectiveState, dt: float, g: Grid1D, p: Params,
+                   cfg: SchemeConfig, source: Source = None,
+                   ws: Optional[Workspace] = None):
+    """One IMEX ARS(2,2,2) update of (rho, w = rho*v): the drift of rho,
+    the convection of w and the pressure relaxation explicit, sources at
+    the stage times, the density diffusion linearly implicit.  The new
+    density is rebuilt in flux form from the stage fluxes, so the returned
+    boundary mass fluxes (left, right) are the step-weighted ones, implicit
+    diffusion included.  The new EffectiveState is held in the workspace's
+    spare arrays."""
+    if ws is None:
+        ws = Workspace(g.cells, "effective")
+    dx = g.dx
+    nf = g.cells + 1
+    t = ws.tmp
+    flux, rate = t[8][:nf], t[9][:g.cells]  # the step's weighted sums
+    rho_new, w_new = ws.spare
+    k = GAMMA * dt
+    rho, w = _pad2(e.rho, e.w, p, cfg, ws)
+
+    # stage 1 (explicit, at the old state) and the stage-2 predictor
+    _transport(rho, w, g, p, cfg, ws, flux, rate)
     if source is not None:
-        s_rho, s_w = source(g.centers(), e.t)
-        _add_source(rho_new, s_rho, dt, t[0])
-        _add_source(w_star, s_w, dt, t[0])
+        s1_rho, s1_w = source(g.centers(), e.t)
+        rate += s1_w
+    _update(e.rho, flux, k, dx, rho[2:-2])
+    w_in = np.multiply(rate, k, out=w[2:-2])
+    w_in += e.w
+    if source is not None:
+        _add_source(rho[2:-2], s1_rho, k, t[0])
+    flux *= DELTA
+    rate *= DELTA
+    _check_floor(rho[2:-2], cfg, p, e.t)
+    fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
+    fill_ghosts(w, 2, cfg.bc, 0.0)
 
-    if np.min(rho_new) < cfg.floor(p):
-        raise VacuumError(f"density fell below the vacuum floor at t={e.t:g}")
+    # stage 2: implicit diffusion, then the explicit part at the stage
+    _implicit_diffusion(rho, k, g, p, cfg, ws, flux, 1.0 - GAMMA)
+    f2, r2 = t[6][:nf], t[7][:g.cells]
+    _transport(rho, w, g, p, cfg, ws, f2, r2)
+    if source is not None:
+        s2_rho, s2_w = source(g.centers(), e.t + k)
+        r2 += s2_w
+    f2 *= 1.0 - DELTA
+    flux += f2
+    r2 *= 1.0 - DELTA
+    rate += r2
 
-    u_in = u_ext[1:-1]
-    relax_effective_momentum(w_star, rho_new, u_in, dt, p, ws=ws)
-    return EffectiveState(rho_new, w_new, e.t + dt), fluxes
+    # stage 3: predictor, implicit diffusion; w is explicit throughout
+    np.multiply(rate, dt, out=w_new)
+    w_new += e.w
+    _update(e.rho, flux, dt, dx, rho[2:-2])
+    if source is not None:
+        src_rho = np.multiply(s1_rho, DELTA)
+        src_rho += (1.0 - DELTA) * s2_rho
+        _add_source(rho[2:-2], src_rho, dt, t[0])
+    _check_floor(rho[2:-2], cfg, p, e.t)
+    fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
+    _implicit_diffusion(rho, k, g, p, cfg, ws, flux, GAMMA)
+
+    # the new density in flux form from the weighted stage fluxes
+    _update(e.rho, flux, dt, dx, rho_new)
+    if source is not None:
+        _add_source(rho_new, src_rho, dt, t[0])
+    _check_floor(rho_new, cfg, p, e.t)
+    return (EffectiveState(rho_new, w_new, e.t + dt),
+            (float(flux[0]), float(flux[-1])))
 
 
 def relax_effective_momentum(w: np.ndarray, rho: np.ndarray, u: np.ndarray,
@@ -346,15 +557,17 @@ def relax_effective_momentum(w: np.ndarray, rho: np.ndarray, u: np.ndarray,
     """Exact integrating factor for d(v)/dt = -kappa (v - u) with frozen u,
     kappa = a*gamma*rho**gamma / mu_n(rho); |v - u| is nonincreasing.  The
     result is written into the workspace's spare momentum array, which may
-    be w itself; it uses scratch arrays 0-2 only."""
+    be w itself; it uses scratch arrays 0-2 only.
+
+    The effective stepper does not call it: with u frozen the factor
+    1 - exp(-kappa*dt) misses the linear decrease -kappa*dt*rho*(v - u) at
+    second order, so the IMEX step evaluates the relaxation as an explicit
+    rate instead."""
     n = len(rho)
     if ws is None:
         ws = Workspace(n, "effective")
     t0, t1, t2 = (t[:n] for t in ws.tmp[:3])
-    kappa = powf(rho, p.gamma, out=t0)
-    kappa *= p.a * p.gamma
-    kappa /= viscosity(rho, p, out=t1, scratch=t2)
-    decay = np.negative(kappa, out=kappa)
+    decay = np.negative(_relaxation_rate(rho, p, t0, t1, t2), out=t0)
     decay *= dt
     np.exp(decay, out=decay)
     v = np.divide(w, rho, out=t1)  # becomes u + (v - u) * decay
@@ -397,7 +610,8 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     def record(st):
         nonlocal base_l1
         sv = from_effective(st, g, p, mode=cfg.bc) if effective else st.copy()
-        w = st.w if effective else to_effective(st, g, p, mode=cfg.bc).w
+        w = st.w if effective else effective_momentum(st.rho, st.m, g, p,
+                                                      cfg.bc)
         if base_l1 is None:
             base_l1 = sum(diagnostics.l1_momenta(sv, w, g))
         traj.snapshots.append((sv, diagnostics.compute_record(
@@ -416,6 +630,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
 
     try:
         dt_cfl = cfl_dt(state, g, p, cfg, ws=ws)
+        bound = ws.dt_bound
         while state.t < t_end - tiny:
             if traj.steps >= cfg.max_steps:
                 traj.status = "step_budget_exhausted"
@@ -429,7 +644,8 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             state = new
             traj.steps += 1
             dt_lo, dt_hi = min(dt_lo, dt_cfl), max(dt_hi, dt_cfl)
-            dt_cfl = dt_next
+            traj.dt_bound[bound] += 1
+            dt_cfl, bound = dt_next, ws.dt_bound
 
             # exact discrete mass balance audit (meaningless under forcing)
             mass_now = float(np.sum(state.rho)) * dx

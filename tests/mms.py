@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from .core import EffectiveState, Grid1D, Params, State
+from nsvisc1d.core import EffectiveState, Grid1D, Params, State
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from _runs import desk_grid, preset_traj
+from mms import ManufacturedSolution
 from nsvisc1d import Grid1D, Params, State
 from nsvisc1d.core import (
     UnsupportedExponentError,
@@ -23,7 +24,6 @@ from nsvisc1d.core import (
     to_effective,
 )
 from nsvisc1d.initdata import PRESET_NAMES
-from nsvisc1d.mms import ManufacturedSolution
 from nsvisc1d.solver import SchemeConfig, cfl_dt, run, step_effective, \
     step_primitive
 from nsvisc1d import harness

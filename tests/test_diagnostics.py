@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mms import ManufacturedSolution
 from nsvisc1d import Grid1D, Params, State
 from nsvisc1d.diagnostics import (
     DiagnosticsRecord,
@@ -25,7 +26,6 @@ from nsvisc1d.diagnostics import (
     total_variation,
 )
 from nsvisc1d.core import phi1, pi_rel, to_effective
-from nsvisc1d.mms import ManufacturedSolution
 from nsvisc1d.solver import SchemeConfig, run
 
 

@@ -241,6 +241,9 @@ def test_run_scenario_artifacts(tmp_path):
     assert summary["verdicts"]["mass_balance"] is True
     assert summary["mass_error_accum"] <= 1e-10
     assert 0 < summary["dt_min"] <= summary["dt_max"]
+    # theo1 primitive: the far field at rest keeps the diffusive limit
+    assert summary["dt_bound"] == {"advective": 0,
+                                   "diffusive": summary["steps"]}
 
 
 def test_simulate_deterministic():

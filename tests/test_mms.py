@@ -4,8 +4,8 @@ oracle for the symbolic algebra), then a short convergence smoke run."""
 import numpy as np
 import pytest
 
+from mms import ManufacturedSolution
 from nsvisc1d import Grid1D, Params
-from nsvisc1d.mms import ManufacturedSolution
 from nsvisc1d.solver import SchemeConfig, run
 
 P = Params(mu=0.1, alpha=1.0)

@@ -1,17 +1,20 @@
 """Property tests of the discrete identities on random positive densities
 under both boundary rules: the effective-momentum transform and its inverse,
-w - m = grad phi1(rho), and the exact mass balance of one step."""
+w - m = grad phi1(rho), the exact mass balance of one step (also of a stiff
+implicit one), and the cyclic-reduction solve against scipy and dense
+solves."""
 import math
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nsvisc1d import (Grid1D, Params, State, centered_gradient,
-                      from_effective, phi1, to_effective)
-from nsvisc1d.solver import SchemeConfig, cfl_dt, step_effective, \
-    step_primitive
+from nsvisc1d import (EffectiveState, Grid1D, Params, State,
+                      centered_gradient, from_effective, phi1, to_effective)
+from nsvisc1d.solver import SchemeConfig, cfl_dt, solve_tridiagonal, \
+    step_effective, step_primitive
 
 
 @st.composite
@@ -56,3 +59,75 @@ def test_one_step_mass_balance(case, formulation):
     mass_new = float(np.sum(new.rho)) * g.dx
     defect = abs(mass_new - mass_old - (f_left - f_right) * dt)
     assert defect <= 1e-13 * mass_old
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 300), st.sampled_from(["farfield", "periodic"]),
+       st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.data())
+def test_stiff_effective_step_keeps_mass(cells, bc, alpha, data):
+    # pure density diffusion (negligible pressure, w = 0) at 1e6 times the
+    # explicit limit: the new density is rebuilt in flux form, so the mass
+    # balance does not rest on the accuracy of the tridiagonal solves
+    rho = data.draw(hnp.arrays(float, cells, elements=st.floats(1.0, 1.5)))
+    g = Grid1D(0.0, 1.0, cells)
+    p = Params(alpha=alpha, a=1e-12)
+    e = EffectiveState(rho, np.zeros(cells))
+    dt = 1e6 * g.dx ** 2
+    new, (f_left, f_right) = step_effective(
+        e, dt, g, p, SchemeConfig(formulation="effective", bc=bc))
+    mass_old = float(np.sum(rho)) * g.dx
+    defect = abs(float(np.sum(new.rho)) * g.dx - mass_old
+                 - (f_left - f_right) * dt)
+    assert defect <= 1e-14 * mass_old
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """(a, b, c, d): a diagonally dominant tridiagonal system of 4-300 rows
+    with off-diagonals up to `scale` and a diagonal margin in [1, 10], as
+    in the stepper's I - k L."""
+    n = draw(st.integers(4, 300))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    a, c, d = (draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+               for _ in range(3))
+    margin = draw(hnp.arrays(float, n, elements=st.floats(1.0, 10.0)))
+    a, c = scale * a, scale * c
+    return a, margin + np.abs(a) + np.abs(c), c, d
+
+
+def _solved(a, b, c, d, periodic):
+    x = d.copy()
+    solve_tridiagonal(a.copy(), b.copy(), c.copy(), x, periodic=periodic)
+    return x
+
+
+def _solution_bound(a, b, c, d):
+    # |x|_inf <= |d|_inf / min(|b| - |a| - |c|) for a diagonally dominant
+    # matrix (Varah), the scale of the solution's rounding errors; a
+    # cancelling d can give a far smaller |x|
+    return np.max(np.abs(d)) / np.min(np.abs(b) - np.abs(a) - np.abs(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tridiagonal_systems())
+def test_cyclic_reduction_matches_solve_banded(system):
+    a, b, c, d = system
+    banded = np.zeros((3, len(d)))
+    banded[0, 1:], banded[1], banded[2, :-1] = c[:-1], b, a[1:]
+    ref = scipy.linalg.solve_banded((1, 1), banded, d)
+    x = _solved(a, b, c, d, periodic=False)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * _solution_bound(a, b, c, d)
+    for periodic in (False, True):
+        zero = _solved(a, b, c, np.zeros(len(d)), periodic)
+        assert not np.any(zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tridiagonal_systems())
+def test_periodic_cyclic_reduction_matches_dense_solve(system):
+    a, b, c, d = system
+    dense = np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
+    dense[0, -1], dense[-1, 0] = a[0], c[-1]
+    ref = np.linalg.solve(dense, d)
+    x = _solved(a, b, c, d, periodic=True)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * _solution_bound(a, b, c, d)

@@ -70,6 +70,21 @@ def test_cfl_dt_diffusive_scaling():
                                    rel=1e-12)
 
 
+def test_cfl_dt_effective_is_advective():
+    # the effective stepper's diffusion is implicit: at rest dt ~ dx, set by
+    # the sound speed alone
+    p = Params()
+    cfg = SchemeConfig(formulation="effective")
+    dts = []
+    for cells in (320, 640):
+        g = small_grid(cells)
+        e = EffectiveState(np.full(cells, 1.0), np.zeros(cells))
+        dts.append(cfl_dt(e, g, p, cfg))
+    assert dts[0] / dts[1] == pytest.approx(2.0, rel=1e-12)
+    c = math.sqrt(p.a * p.gamma)
+    assert dts[0] == pytest.approx(0.4 * small_grid(320).dx / c, rel=1e-12)
+
+
 def test_cfl_dt_rejects_bad_states():
     g = small_grid()
     p = Params()
@@ -238,7 +253,7 @@ def test_one_transform_per_record(formulation, monkeypatch):
     g, built = theo1_state()
     cfg = SchemeConfig(formulation=formulation)
     initial = initial_state(built, g, Params(), cfg)
-    calls = {"to_effective": 0, "from_effective": 0}
+    calls = {"to_effective": 0, "from_effective": 0, "effective_momentum": 0}
     for name in calls:
         original = getattr(core, name)
 
@@ -248,7 +263,8 @@ def test_one_transform_per_record(formulation, monkeypatch):
         for module in (core, solver, diagnostics):
             monkeypatch.setattr(module, name, counted, raising=False)
     traj = run(initial, 0.004, g, Params(), cfg, record_every=0.001)
-    used = "from_effective" if formulation == "effective" else "to_effective"
+    used = ("from_effective" if formulation == "effective"
+            else "effective_momentum")
     assert calls == {**dict.fromkeys(calls, 0), used: len(traj.records)}
 
 
@@ -313,8 +329,8 @@ def hand_run(initial, t_end, g, p, cfg, record_every):
     def snap():
         sv = (core.from_effective(state, g, p, mode=cfg.bc) if effective
               else state)
-        w = state.w if effective else core.to_effective(
-            state, g, p, mode=cfg.bc).w
+        w = state.w if effective else core.effective_momentum(
+            state.rho, state.m, g, p, mode=cfg.bc)
         base = (sum(diagnostics.l1_momenta(sv, w, g)) if not snaps
                 else snaps[0][2])
         snaps.append((sv, diagnostics.compute_record(
@@ -364,8 +380,10 @@ def test_run_matches_hand_loop_without_workspace(formulation, bc, limiter,
     cfg = SchemeConfig(formulation=formulation, bc=bc, limiter=limiter,
                        flux=flux)
     initial = initial_state(built, g, p, cfg)
-    traj = run(initial, 0.05, g, p, cfg, record_every=0.02)
-    snaps, steps, audit, _ = hand_run(initial, 0.05, g, p, cfg, 0.02)
+    # the IMEX effective step is ~5x the explicit primitive one
+    t_end = 0.25 if formulation == "effective" else 0.05
+    traj = run(initial, t_end, g, p, cfg, record_every=0.02)
+    snaps, steps, audit, _ = hand_run(initial, t_end, g, p, cfg, 0.02)
     assert traj.status == "completed"
     assert traj.steps == steps > 5
     assert [_bytes(s) for s, _ in traj.snapshots] == \
@@ -409,12 +427,8 @@ def test_snapshots_own_their_arrays(formulation):
         assert not np.shares_memory(a, b)
 
 
-@pytest.mark.parametrize("preset, formulation, before", [
-    ("theo1", "primitive", 21.1), ("hoff", "effective", 28.3)])
-def test_run_memory_peak(preset, formulation, before):
-    # peak of run() in cell-sized arrays; `before` is what the step loop
-    # peaked at when every step allocated its temporaries, and the
-    # workspace may hold at most 3 arrays more
+def _run_peak(preset, formulation, record_every):
+    # peak of run() in cell-sized arrays
     cells = 4096
     g = Grid1D(-20.0, 20.0, cells)
     spec = preset_scenario(preset)
@@ -422,8 +436,81 @@ def test_run_memory_peak(preset, formulation, before):
     initial = initial_state(build_scenario(spec, g), g, spec.params, cfg)
     tracemalloc.start()
     try:
-        run(initial, 0.002, g, spec.params, cfg)
-        peak = tracemalloc.get_traced_memory()[1] / (8 * cells)
+        run(initial, 0.002, g, spec.params, cfg, record_every=record_every)
+        return tracemalloc.get_traced_memory()[1] / (8 * cells)
     finally:
         tracemalloc.stop()
-    assert peak <= before + 3
+
+
+@pytest.mark.parametrize("preset, formulation, before", [
+    ("theo1", "primitive", 21.1), ("hoff", "effective", 28.3)])
+def test_run_memory_peak(preset, formulation, before):
+    # `before` is what the step loop peaked at when every step allocated
+    # its temporaries, and the workspace may hold at most 3 arrays more
+    assert _run_peak(preset, formulation, None) <= before + 3
+
+
+@pytest.mark.parametrize("preset, formulation, before", [
+    ("theo1", "primitive", 23.15), ("hoff", "effective", 30.25)])
+def test_run_memory_peak_with_records(preset, formulation, before):
+    # the same bound with a snapshot every 0.001: a record's temporaries
+    # stack on the live workspace
+    assert _run_peak(preset, formulation, 0.001) <= before + 3
+
+
+# ---------------------------------------------------------------------------
+# the IMEX effective step
+
+
+def test_dt_bound_counts_the_binding_limit():
+    g, built = theo1_state()
+    p = Params()
+    prim = run(built.state, 0.004, g, p, SchemeConfig())
+    # theo1 is at rest in the far field, where rho/mu_n(rho) is smallest
+    assert prim.dt_bound == {"advective": 0, "diffusive": prim.steps}
+    cfg = SchemeConfig(formulation="effective")
+    eff = run(initial_state(built, g, p, cfg), 0.2, g, p, cfg)
+    assert eff.dt_bound == {"advective": eff.steps, "diffusive": 0}
+    assert eff.steps > 5
+
+
+def test_effective_hoff_needs_a_tenth_of_the_explicit_steps():
+    g = Grid1D(-20.0, 20.0, 1280)
+    spec = preset_scenario("hoff")
+    p = spec.params
+    cfg = SchemeConfig(formulation="effective")
+    initial = initial_state(build_scenario(spec, g), g, p, cfg)
+    traj = run(initial, 0.05, g, p, cfg)
+    # the explicit diffusive limit at the initial state, which the far field
+    # (rho = rho_bar) keeps for the whole run
+    rho = initial.rho
+    dt_explicit = 0.4 * 0.5 * g.dx ** 2 * np.min(rho / core.viscosity(rho, p))
+    assert traj.status == "completed"
+    assert traj.mass_error_max < 1e-13
+    assert 0 < traj.steps <= 0.1 * 0.05 / dt_explicit
+
+
+@pytest.mark.parametrize("p", [Params(mu=0.1, alpha=0.0),
+                               Params(mu=0.1, alpha=1.0, n_reg=8.0)],
+                         ids=["alpha0", "nreg8"])
+def test_effective_step_is_second_order_in_time(p):
+    # nonlinear density diffusion (D = mu_n(rho)/rho not constant) at fixed
+    # steps near the advective limit, against a 16x finer step on the same
+    # grid: the implicit coefficients must not cost an order
+    g = Grid1D(0.0, 1.0, 64)
+    cfg = SchemeConfig(formulation="effective", bc="periodic")
+    x = g.centers()
+    s = State(1.0 + 0.3 * np.sin(2 * np.pi * x), 0.2 * np.cos(2 * np.pi * x))
+    e0 = core.to_effective(s, g, p, mode="periodic")
+    t_end = 0.04
+
+    def final_rho(steps):
+        e = e0
+        for _ in range(steps):
+            e, _ = step_effective(e, t_end / steps, g, p, cfg)
+        return e.rho
+
+    ref = final_rho(320)
+    errs = [np.sum(np.abs(final_rho(n) - ref)) for n in (10, 20, 40)]
+    orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
+    assert min(orders) >= 1.8, orders
