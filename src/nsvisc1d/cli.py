@@ -70,10 +70,11 @@ def main(argv=None) -> int:
             return code
         if args.command == "study-dx":
             rows = harness.refinement_study(cfg)
-            harness.write_study(rows, out, "study_dx.json")
+            name = "study_dx.json"
         else:
             rows = harness.n_sequence_study(cfg)
-            harness.write_study(rows, out, "study_n.json")
+            name = "study_n.json"
+        harness.write_study(rows, out, name)
     except harness.ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -83,7 +84,13 @@ def main(argv=None) -> int:
         dist = "-" if row.l1_distance is None else f"{row.l1_distance:.4e}"
         order = "-" if row.observed_order is None else f"{row.observed_order:.2f}"
         print(f"{row.label:>8}  cells={row.cells:<7} L1={dist:>10}  "
-              f"order={order:>5}  h1(t_end)={row.h1_phi1_final:.4e}")
+              f"order={order:>5}  h1(t_end)={row.h1_phi1_final:.4e}  "
+              f"{row.status}")
+    failed = [row.label for row in rows if row.status != "completed"]
+    if failed:
+        print(f"study members {', '.join(failed)} did not complete; "
+              f"see {out}/{name}", file=sys.stderr)
+        return harness.EXIT_SOLVER
     return harness.EXIT_OK
 
 

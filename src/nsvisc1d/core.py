@@ -211,33 +211,30 @@ def _require_positive(rho):
     return rho
 
 
+def _antiderivative(rho, p: Params, shift: float, out=None, scratch=None):
+    # antiderivative of mu_n(rho) * rho**(shift - 1)
+    rho = _require_positive(rho)
+    prim = _power_primitive(rho, p.mu, p.alpha + shift, out)
+    if p.has_reg_term:
+        prim += _power_primitive(rho, 1.0 / p.n_reg, p.theta + shift, scratch)
+    return prim
+
+
 def phi(rho, p: Params, out=None, scratch=None):
     """Antiderivative of mu_n(rho)/rho**2 (drives v = u + d_x phi(rho))."""
-    rho = _require_positive(rho)
-    ph = _power_primitive(rho, p.mu, p.alpha - 1.0, out)
-    if p.has_reg_term:
-        ph += _power_primitive(rho, 1.0 / p.n_reg, p.theta - 1.0, scratch)
-    return ph
+    return _antiderivative(rho, p, -1.0, out, scratch)
 
 
 def phi1(rho, p: Params):
     """Antiderivative of mu_n(rho)/rho; satisfies rho * phi'(rho) = phi1'(rho)."""
-    rho = _require_positive(rho)
-    out = _power_primitive(rho, p.mu, p.alpha)
-    if p.has_reg_term:
-        out = out + _power_primitive(rho, 1.0 / p.n_reg, p.theta)
-    return out
+    return _antiderivative(rho, p, 0.0)
 
 
 def phi2(rho, p: Params):
     """Antiderivative of mu_n(rho)/rho**(3/2); undefined at alpha = 1/2."""
     if p.alpha == 0.5:
         raise UnsupportedExponentError("phi2 is undefined for alpha = 1/2")
-    rho = _require_positive(rho)
-    out = _power_primitive(rho, p.mu, p.alpha - 0.5)
-    if p.has_reg_term:
-        out = out + _power_primitive(rho, 1.0 / p.n_reg, p.theta - 0.5)
-    return out
+    return _antiderivative(rho, p, -0.5)
 
 
 def pi_rel(rho, p: Params):
@@ -249,7 +246,7 @@ def pi_rel(rho, p: Params):
     """
     rho = np.asarray(rho, dtype=float)
     g = p.gamma
-    rb = p.rho_bar
+    rb = np.float64(p.rho_bar)  # its powers overflow to inf, without raising
     # in place, in the order of the closed form above
     out = powf(rho, g)
     linear = np.multiply(g, rho)
@@ -311,13 +308,20 @@ def centered_gradient(field: np.ndarray, g: Grid1D, mode: str = "farfield",
     return centered_difference(pad_field(field, 1, mode=mode, far=boundary), g)
 
 
+def _phi1_gradient(rho: np.ndarray, g: Grid1D, p: Params,
+                   mode: str) -> np.ndarray:
+    # d_x phi1(rho), phi1(rho_bar) beyond a farfield boundary; a new array
+    if np.any(rho <= 0):
+        raise VacuumError("the effective-momentum transform requires "
+                          "positive density")
+    return centered_gradient(phi1(rho, p), g, mode=mode,
+                             boundary=float(phi1(p.rho_bar, p)))
+
+
 def effective_momentum(rho: np.ndarray, m: np.ndarray, g: Grid1D, p: Params,
                        mode: str = "farfield") -> np.ndarray:
     """w = m + d_x phi1(rho), a new array: the transform's one definition."""
-    if np.any(rho <= 0):
-        raise VacuumError("effective_momentum requires positive density")
-    grad = centered_gradient(phi1(rho, p), g, mode=mode,
-                             boundary=float(phi1(p.rho_bar, p)))
+    grad = _phi1_gradient(rho, g, p, mode)
     grad += m
     return grad
 
@@ -332,8 +336,4 @@ def to_effective(s: State, g: Grid1D, p: Params,
 def from_effective(e: EffectiveState, g: Grid1D, p: Params,
                    mode: str = "farfield") -> State:
     """m = w - d_x phi1(rho); exact inverse of to_effective."""
-    if np.any(e.rho <= 0):
-        raise VacuumError("from_effective requires positive density")
-    grad = centered_gradient(phi1(e.rho, p), g, mode=mode,
-                             boundary=float(phi1(p.rho_bar, p)))
-    return State(e.rho.copy(), e.w - grad, e.t)
+    return State(e.rho.copy(), e.w - _phi1_gradient(e.rho, g, p, mode), e.t)

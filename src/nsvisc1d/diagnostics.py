@@ -124,11 +124,11 @@ def jump_amplitude(rho: np.ndarray, g: Grid1D, x0: float) -> float:
 def gronwall_sup_bound(rho: np.ndarray, p: Params) -> float:
     """Upper bound for sup |P'(rho) rho / mu_n(rho)| in terms of sup rho:
     (a*gamma/mu)*|rho|_inf**(gamma-alpha) + (a*gamma/n)*|rho|_inf**(gamma-theta)."""
-    rmax = float(np.max(rho))
+    rmax = np.float64(np.max(rho))  # its powers overflow to inf
     out = (p.a * p.gamma / p.mu) * rmax ** (p.gamma - p.alpha)
     if p.has_reg_term:
         out += (p.a * p.gamma / p.n_reg) * rmax ** (p.gamma - p.theta)
-    return out
+    return float(out)
 
 
 def gronwall_envelope(traj):
@@ -161,11 +161,13 @@ def bd_dissipation_rate(rho: np.ndarray, g: Grid1D, p: Params, bc: str,
     ext = ext[:n + 2]
 
     def term(coef_mu: float, expo: float) -> float:
-        e = 0.5 * (p.gamma + expo - 1.0)
+        # numpy scalar powers overflow to inf, where Python's raise
+        k = np.float64(p.gamma + expo - 1.0)
+        e = 0.5 * k
         powf(rho, e, out=ext[1:-1])
         fill_ghosts(ext, 1, bc, float(p.rho_bar ** e))
-        return (4.0 * p.a * p.gamma * coef_mu / (p.gamma + expo - 1.0) ** 2) \
-            * _face_gradient_sq(ext, g, bc, d)
+        return float((4.0 * p.a * p.gamma * coef_mu / k ** 2)
+                     * _face_gradient_sq(ext, g, bc, d))
 
     out = term(p.mu, p.alpha)
     if p.has_reg_term:

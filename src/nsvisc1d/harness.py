@@ -8,7 +8,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -352,18 +352,21 @@ def run_scenario(cfg: RunConfig, out_dir: str) -> int:
 # studies
 
 
-def _fan_out(cfgs: list) -> list:
-    """Simulate each config on a thread pool; trajectories in input order."""
+def _fan_out(cfgs: list, labels: list) -> list:
+    """Validate every member's scenario, then simulate each config on a
+    thread pool; trajectories in input order.  Raises ConfigError naming
+    each invalid member before any member runs."""
+    errors = []
+    for label, member in zip(labels, cfgs):
+        try:
+            member.scenario.validate()
+        except ScenarioValidationError as exc:
+            errors += [f"study member {label}: {v}" for v in exc.violations]
+    if errors:
+        raise ConfigError(errors)
     with concurrent.futures.ThreadPoolExecutor(
             max_workers=min(4, len(cfgs))) as pool:
         return list(pool.map(simulate, cfgs))
-
-
-def _inject_coarse(rho_coarse: np.ndarray, cells_fine: int) -> np.ndarray:
-    ratio = cells_fine // len(rho_coarse)
-    if ratio * len(rho_coarse) != cells_fine:
-        raise ValueError("cell counts must nest")
-    return np.repeat(rho_coarse, ratio)
 
 
 @dataclass
@@ -376,6 +379,17 @@ class StudyRow:
     h1_phi1_initial: float
     h1_phi1_final: float
     verdicts: dict
+    status: str  # the member's Trajectory.status
+
+
+def _study_row(label: str, cfg: RunConfig, traj: Trajectory,
+               dist: float | None, order: float | None = None) -> StudyRow:
+    return StudyRow(
+        label=label, cells=cfg.grid.cells, dx=cfg.grid.dx,
+        l1_distance=dist, observed_order=order,
+        h1_phi1_initial=traj.records[0].h1_phi1,
+        h1_phi1_final=traj.records[-1].h1_phi1,
+        verdicts=verdicts_for(traj, cfg), status=traj.status)
 
 
 def refinement_study(cfg: RunConfig):
@@ -386,7 +400,7 @@ def refinement_study(cfg: RunConfig):
     cfgs = [replace(cfg, grid=replace(cfg.grid, cells=cells),
                     study=StudySpec())
             for cells in cfg.study.dx_refinement]
-    trajs = _fan_out(cfgs)
+    trajs = _fan_out(cfgs, [str(c.grid.cells) for c in cfgs])
 
     rows = []
     dists = []
@@ -395,18 +409,15 @@ def refinement_study(cfg: RunConfig):
         dist = None
         if k > 0:
             fine = traj.final_state.rho
-            coarse = _inject_coarse(trajs[k - 1].final_state.rho, cells)
+            # StudySpec makes the cell counts nest
+            coarse = np.repeat(trajs[k - 1].final_state.rho,
+                               cells // cfgs[k - 1].grid.cells)
             dist = float(np.sum(np.abs(fine - coarse)) * rcfg.grid.dx)
         dists.append(dist)
         order = None
         if k > 1 and dists[k - 1] and dist:
             order = math.log2(dists[k - 1] / dist)
-        rows.append(StudyRow(
-            label=str(cells), cells=cells, dx=rcfg.grid.dx,
-            l1_distance=dist, observed_order=order,
-            h1_phi1_initial=traj.records[0].h1_phi1,
-            h1_phi1_final=traj.records[-1].h1_phi1,
-            verdicts=verdicts_for(traj, rcfg)))
+        rows.append(_study_row(str(cells), rcfg, traj, dist, order))
     _attach_probe_trend(rows)
     return rows
 
@@ -436,37 +447,25 @@ def n_sequence_study(cfg: RunConfig):
         tau = 0.0 if math.isinf(n) else 1.0 / n
         scen = replace(cfg.scenario, params=params, mollify_tau=tau)
         cfgs.append(replace(cfg, scenario=scen, study=StudySpec()))
-    trajs = _fan_out(cfgs)
+    labels = ["inf" if math.isinf(n) else f"{n:g}"
+              for n in cfg.study.n_sequence]
+    trajs = _fan_out(cfgs, labels)
 
     ref = None
     for rcfg, traj in zip(cfgs, trajs):
         if math.isinf(rcfg.scenario.params.n_reg):
             ref = traj.final_state.rho
     rows = []
-    for rcfg, traj in zip(cfgs, trajs):
-        n = rcfg.scenario.params.n_reg
+    for label, rcfg, traj in zip(labels, cfgs, trajs):
         dist = None
-        if ref is not None and not math.isinf(n):
+        if ref is not None and not math.isinf(rcfg.scenario.params.n_reg):
             dist = float(np.sum(np.abs(traj.final_state.rho - ref))
                          * rcfg.grid.dx)
-        rows.append(StudyRow(
-            label="inf" if math.isinf(n) else f"{n:g}",
-            cells=rcfg.grid.cells, dx=rcfg.grid.dx,
-            l1_distance=dist, observed_order=None,
-            h1_phi1_initial=traj.records[0].h1_phi1,
-            h1_phi1_final=traj.records[-1].h1_phi1,
-            verdicts=verdicts_for(traj, rcfg)))
+        rows.append(_study_row(label, rcfg, traj, dist))
     return rows
 
 
 def write_study(rows, out_dir: str, name: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    payload = [
-        {"label": r.label, "cells": r.cells, "dx": r.dx,
-         "l1_distance": r.l1_distance, "observed_order": r.observed_order,
-         "h1_phi1_initial": r.h1_phi1_initial,
-         "h1_phi1_final": r.h1_phi1_final, "verdicts": r.verdicts}
-        for r in rows
-    ]
     with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump([asdict(r) for r in rows], fh, indent=2)

@@ -207,12 +207,8 @@ def build_scenario(spec: ScenarioSpec, g: Grid1D) -> BuiltScenario:
     if spec.kind in ("theo1-strong-coupling", "theo2-constant-visc"):
         v0 = spec.v0.sample(x)
         m0 = rho0 * v0 - grad_phi1
-    elif spec.kind == "corbis-weak-coupling":
-        u0 = spec.u0.sample(x)
-        m0 = rho0 * u0
-    elif spec.kind == "hoff-L2-velocity":
-        u0 = spec.u0.sample(x)
-        m0 = rho0 * u0
+    elif spec.kind in ("corbis-weak-coupling", "hoff-L2-velocity"):
+        m0 = rho0 * spec.u0.sample(x)
     else:  # custom: ordinary velocity plus optional effective-velocity part
         m0 = rho0 * spec.u0.sample(x)
         if spec.v0.kind != "zero":

@@ -8,6 +8,14 @@ upwinded drift of rho, the convection of w and the pressure relaxation are
 explicit; the nonlinear density diffusion (mu_n(rho)/rho rho_x)_x is
 linearly implicit, one tridiagonal cyclic-reduction solve per pass, so the
 step is limited by the advective bound alone.
+
+Both steppers are one frame: pad the state (`_pad2`), reconstruct the faces
+(`_faces`), upwind or Rusanov face fluxes (`_upwind`), harmonic face means
+of the viscosity or diffusivity (`_harmonic_mean`), the conservative update
+(`_update`), sources (`_add_source`) and the vacuum floor (`_check_floor`).
+The cell velocities v = w/rho and u = v - d_x phi(rho) of an effective
+state have one definition (`_velocities`), shared by `cfl_dt` and the
+explicit stage.
 """
 from __future__ import annotations
 
@@ -95,16 +103,17 @@ class Workspace:
     """The arrays one run's steps write into, allocated once per run.
 
     `rho` and `mom` hold the state padded by two ghost cells per side (the
-    MUSCL stencil); `tmp` is scratch for slopes, faces, fluxes, the viscous
-    term, `cfl_dt` and the per-step BD rate, and on an effective run also
-    for the implicit solves and the step's two accumulators (the weighted
-    mass flux and the weighted rate of w); `spare` receives the next state,
-    and `run` hands the replaced state's arrays back as the new spare once
-    the step is accepted.  Primitive steps use 8 scratch arrays and
-    effective steps 10, so a workspace holds 12 or 14 cell-sized arrays.
-    They are allocated as two blocks, the spare pair apart, so that the
-    state last swapped in does not keep the scratch alive.  A workspace is
-    private to one run: concurrent runs (the studies' threads) each build
+    MUSCL stencil, and `cfl_dt`'s velocities of an effective state); `tmp`
+    is scratch for slopes, faces, fluxes, the viscous term, `cfl_dt` and
+    the per-step BD rate, and on an effective run also for the implicit
+    solves and the step's two accumulators (the weighted mass flux and the
+    weighted rate of w); `spare` receives the next state, and `run` hands
+    the replaced state's arrays back as the new spare once the step is
+    accepted.  Primitive steps use 8 scratch arrays and effective steps
+    10, so a workspace holds 12 or 14 cell-sized arrays.  They are
+    allocated as two blocks, the spare pair apart, so that the state last
+    swapped in does not keep the scratch alive.  A workspace is private to
+    one run: concurrent runs (the studies' threads) each build
     their own.  `cfl_dt` notes in `dt_bound` which limit set its step.
     """
 
@@ -136,22 +145,20 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
         raise NonFiniteStateError("non-finite density or momentum")
     if np.less_equal(rho, 0, out=ok).any():
         raise VacuumError("cfl_dt requires positive density")
-    t0, t1, t2 = (t[:n] for t in ws.tmp[:3])
-    v = np.divide(mom, rho, out=t0)
-    speed = np.abs(v, out=t1)
+    t0, t1, t2 = ws.tmp[:3]
     if effective:
         # the drift carries v while convection carries u = v - d_x phi(rho)
-        ext = ws.tmp[3][:n + 2]
-        phi(rho, p, out=ext[1:-1], scratch=t2)
-        fill_ghosts(ext, 1, cfg.bc, float(phi(p.rho_bar, p)))
-        u = np.subtract(v, centered_difference(ext, g, out=t2), out=t2)
-        np.maximum(speed, np.abs(u, out=u), out=speed)
-    speed += sound_speed(rho, p, out=t0)
+        v, u = _velocities(*_pad2(rho, mom, p, cfg, ws), g, p, t0, t1, t2)
+        speed = np.abs(v[2:-2], out=t2[:n])
+        np.maximum(speed, np.abs(u[1:-1], out=u[1:-1]), out=speed)
+    else:
+        speed = np.abs(np.divide(mom, rho, out=t0[:n]), out=t1[:n])
+    speed += sound_speed(rho, p, out=t0[:n])
     adv = g.dx / np.max(speed)
     if effective:
         ws.dt_bound = "advective"
         return cfg.cfl_safety * float(adv)
-    mu = viscosity(rho, p, out=t0, scratch=t1)
+    mu = viscosity(rho, p, out=t0[:n], scratch=t1[:n])
     diff = 0.5 * g.dx ** 2 * np.min(np.divide(rho, mu, out=mu))
     ws.dt_bound = "advective" if adv <= diff else "diffusive"
     return cfg.cfl_safety * min(float(adv), float(diff))
@@ -218,6 +225,31 @@ def _update(q: np.ndarray, flux: np.ndarray, dt: float, dx: float, out):
     return np.subtract(q, step, out=out)
 
 
+def _upwind(s: np.ndarray, qL, qR, out, mask):
+    # s * (qL where s > 0, else qR) on the faces, written into out
+    up = np.greater(s, 0.0, out=mask[:len(s)])
+    return np.multiply(s, _select(up, qL, qR, out=out), out=out)
+
+
+def _harmonic_mean(c: np.ndarray, out, scratch):
+    # 2 c[i] c[i+1] / (c[i] + c[i+1]) on the faces, written into out
+    nf = len(c) - 1
+    mean = np.multiply(c[:-1], 2.0, out=out[:nf])
+    mean *= c[1:]
+    mean /= np.add(c[:-1], c[1:], out=scratch[:nf])
+    return mean
+
+
+def _velocities(rho, w, g: Grid1D, p: Params, v, u, scratch):
+    # v = w/rho on a width-2 padded (rho, w), into v, and u = v - d_x
+    # phi(rho) on cells -1..N, into u[:-2]; scratch takes phi(rho), and
+    # every array has the padded length
+    np.divide(w, rho, out=v)
+    dphi = centered_difference(phi(rho, p, out=scratch, scratch=u), g,
+                               out=u[:-2])
+    return v, np.subtract(v[1:-1], dphi, out=dphi)
+
+
 def _add_source(q: np.ndarray, rate: np.ndarray, dt: float, scratch):
     # q + dt * rate, in place
     q += np.multiply(rate, dt, out=scratch[:len(q)])
@@ -263,9 +295,8 @@ def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
     else:  # upwind convection, centered pressure
         ubar = np.add(uL, uR, out=uL)
         ubar *= 0.5
-        up = np.greater(ubar, 0.0, out=ws.mask[:nf])
-        f_mass = np.multiply(ubar, _select(up, rhoL, rhoR, out=uR), out=uR)
-        f_mom = np.multiply(ubar, _select(up, mL, mR, out=y), out=y)
+        f_mass = _upwind(ubar, rhoL, rhoR, uR, ws.mask)
+        f_mom = _upwind(ubar, mL, mR, y, ws.mask)
         pbar = np.add(pressure(rhoL, p, out=z), pressure(rhoR, p, out=ubar),
                       out=z)
         pbar *= 0.5
@@ -276,9 +307,7 @@ def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
     # centered viscous flux with harmonic-mean face viscosity
     u_cells = np.divide(m[1:-1], rho[1:-1], out=t[0][:nf + 1])
     mu_c = viscosity(rho[1:-1], p, out=t[1][:nf + 1], scratch=t[2][:nf + 1])
-    mu_face = np.multiply(mu_c[:-1], 2.0, out=t[2][:nf])
-    mu_face *= mu_c[1:]
-    mu_face /= np.add(mu_c[:-1], mu_c[1:], out=z)
+    mu_face = _harmonic_mean(mu_c, t[2], z)
     visc = np.multiply(mu_face, np.subtract(u_cells[1:], u_cells[:-1], out=z),
                        out=z)
     visc /= dx
@@ -290,8 +319,7 @@ def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
         _add_source(rho_new, s_rho, dt, z)
         _add_source(m_new, s_mom, dt, z)
 
-    if np.min(rho_new) < cfg.floor(p):
-        raise VacuumError(f"density fell below the vacuum floor at t={s.t:g}")
+    _check_floor(rho_new, cfg, p, s.t)
     return State(rho_new, m_new, s.t + dt), fluxes
 
 
@@ -378,18 +406,6 @@ def _cyclic_reduction(a, b, c, rhs, fac, prod):
             d_even /= B[0::2]
 
 
-def _diffusivity(q: np.ndarray, p: Params, out, s1, s2):
-    # harmonic face mean of mu_n(rho)/rho over a field padded by one ghost
-    # per side (len(q) - 1 faces), written into out; s1, s2 are scratch
-    nf = len(q) - 1
-    dcoef = viscosity(q, p, out=s1[:nf + 1], scratch=s2[:nf + 1])
-    dcoef /= q
-    d_face = np.multiply(dcoef[:-1], 2.0, out=out[:nf])
-    d_face *= dcoef[1:]
-    d_face /= np.add(dcoef[:-1], dcoef[1:], out=s2[:nf])
-    return d_face
-
-
 def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,
                ws: Workspace, flux, rate):
     # explicit part at a width-2 padded stage state: the drift mass flux on
@@ -399,25 +415,19 @@ def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,
     n = g.cells
     nf = n + 1  # faces
     t = ws.tmp
-    v = np.divide(w, rho, out=t[0])
-    # u = v - d_x phi(rho), available on cells -1..N (one ghost layer)
-    phi_ext = phi(rho, p, out=t[1], scratch=t[2])
-    u_ext = centered_difference(phi_ext, g, out=t[5][:nf + 1])
-    np.subtract(v[1:-1], u_ext, out=u_ext)
+    v, u_ext = _velocities(rho, w, g, p, t[0], t[5], t[1])
 
     # density: drift by v, upwind on reconstructed rho
     rhoL, rhoR = _faces(rho, cfg.limiter, t[3], t[4], t[1], t[2], ws.mask)
     vbar = np.add(v[1:-2], v[2:-1], out=t[1][:nf])
     vbar *= 0.5
-    up = np.greater(vbar, 0.0, out=ws.mask[:nf])
-    np.multiply(vbar, _select(up, rhoL, rhoR, out=t[0][:nf]), out=flux[:nf])
+    _upwind(vbar, rhoL, rhoR, flux[:nf], ws.mask)
 
     # effective momentum: convection by u, upwind on reconstructed w
     wL, wR = _faces(w, cfg.limiter, t[3], t[4], t[0], t[1], ws.mask)
     ubar = np.add(u_ext[:-1], u_ext[1:], out=t[0][:nf])
     ubar *= 0.5
-    up = np.greater(ubar, 0.0, out=ws.mask[:nf])
-    f_w = np.multiply(ubar, _select(up, wL, wR, out=t[1][:nf]), out=t[1][:nf])
+    f_w = _upwind(ubar, wL, wR, t[1][:nf], ws.mask)
     dwdt = np.subtract(f_w[:-1], f_w[1:], out=rate[:n])
     dwdt /= dx
     rho_in, u_in = rho[2:-2], u_ext[1:-1]
@@ -456,7 +466,10 @@ def _implicit_diffusion(rho, k: float, g: Grid1D, p: Params,
             q = t[1][:n + 2]
             np.add(rho[2:-2], x, out=q[1:-1])
             fill_ghosts(q, 1, cfg.bc, p.rho_bar)
-        _diffusivity(q, p, d_face, t[2], t[3])
+        # the harmonic face mean of mu_n(q)/q
+        dcoef = viscosity(q, p, out=t[2][:nf + 1], scratch=t[3][:nf + 1])
+        dcoef /= q
+        _harmonic_mean(dcoef, d_face, t[3])
         # right-hand side k L rho in flux form: zero for a constant rho
         grad = np.subtract(rho[2:-1], rho[1:-2], out=t[5][:nf])
         grad *= d_face
@@ -577,6 +590,14 @@ def relax_effective_momentum(w: np.ndarray, rho: np.ndarray, u: np.ndarray,
     return np.multiply(rho, v, out=ws.spare[1][:n])
 
 
+def _exp(x: float) -> float:
+    # math.exp, inf where it overflows
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
         p: Params, cfg: SchemeConfig, record_every: float | None = None,
         source: Source = None, jump_x0: float = 0.0) -> Trajectory:
@@ -616,7 +637,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             base_l1 = sum(diagnostics.l1_momenta(sv, w, g))
         traj.snapshots.append((sv, diagnostics.compute_record(
             sv, w, g, p, cfg.bc, jump_x0=jump_x0,
-            gronwall_rhs=base_l1 * math.exp(3.0 * gron_acc),
+            gronwall_rhs=base_l1 * _exp(3.0 * gron_acc),
             dissipation_bd=diss_acc)))
 
     record(state)

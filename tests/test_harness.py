@@ -1,13 +1,18 @@
 """Tests for configuration parsing, artifact writing, the CLI entry point,
 and the refinement / regularization studies (on deliberately coarse grids)."""
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from nsvisc1d import cli, harness
@@ -27,7 +32,6 @@ from nsvisc1d.harness import (
     run_scenario,
     simulate,
     write_study,
-    _inject_coarse,
 )
 from nsvisc1d.initdata import PRESET_NAMES
 
@@ -309,8 +313,9 @@ def test_refinement_study_requires_nested_cells():
     with pytest.raises(ConfigError):
         config_from_mapping({"preset": "theo1",
                              "study.dx_refinement": "640,320"})
-    with pytest.raises(ValueError):
-        _inject_coarse(np.ones(300), 640)
+    with pytest.raises(ConfigError):
+        config_from_mapping({"preset": "theo1",
+                             "study.dx_refinement": "300,640"})
 
 
 def test_n_sequence_study_rows():
@@ -329,6 +334,7 @@ def test_write_study(tmp_path):
         payload = json.load(fh)
     assert payload[1]["l1_distance"] == rows[1].l1_distance
     assert payload[0]["verdicts"]["entropy_decay"] is True
+    assert [row["status"] for row in payload] == ["completed"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +421,47 @@ def test_cli_nonfinite_state_exits_3(tmp_path, capsys):
     assert summary["verdicts"]["entropy_decay"] is False
 
 
+def test_cli_study_n_invalid_member_exits_2(tmp_path, capsys,
+                                            monkeypatch):
+    # corbis carries a momentum atom, which the unmollified n = inf member
+    # cannot hold: the study fails as a config error before any member runs
+    def no_simulation(cfg):
+        raise AssertionError("a member ran before validation")
+    monkeypatch.setattr(harness, "simulate", no_simulation)
+    code = cli.main(["study-n", "--preset", "corbis",
+                     "--out", str(tmp_path / "study"),
+                     "--override", "grid.cells=64",
+                     "--override", "run.t_end=0.001",
+                     "--override", "study.n_sequence=8,16,inf"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: study member inf: momentum atoms require a positive "
+        "mollification time"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the members' threads
+@pytest.mark.parametrize("command, overrides, name", [
+    ("study-dx", ["preset=corbis", "scenario.atoms=0:1e306",
+                  "study.dx_refinement=32,64,128"], "study_dx.json"),
+    ("study-n", ["preset=hoff", "scenario.u0=gauss:0,1e306,1",
+                 "study.n_sequence=8,inf"], "study_n.json")])
+def test_cli_study_with_failed_members_exits_3(command, overrides, name,
+                                               tmp_path, capsys):
+    # a huge momentum makes every member non-finite: the study still
+    # writes its JSON, which names each member's status
+    out = tmp_path / "study"
+    preset = overrides[0].partition("=")[2]
+    argv = [command, "--preset", preset, "--out", str(out),
+            "--override", "grid.cells=64", "--override", "run.t_end=0.001"]
+    for item in overrides[1:]:
+        argv += ["--override", item]
+    assert cli.main(argv) == EXIT_SOLVER
+    assert "did not complete" in capsys.readouterr().err
+    with open(out / name) as fh:
+        payload = json.load(fh)
+    assert {row["status"] for row in payload} == {"nonfinite"}
+
+
 @pytest.mark.parametrize("command, study", [
     ("run", None), ("study-dx", "study.dx_refinement=64,128"),
     ("study-n", "study.n_sequence=4,inf")])
@@ -447,3 +494,103 @@ def test_scenario_warnings_reach_summary_and_log(tmp_path, caplog):
         warnings = json.load(fh)["warnings"]
     assert any("smallness report 76 exceeds eps0" in w for w in warnings)
     assert [r.getMessage() for r in caplog.records] == warnings
+
+
+# ---------------------------------------------------------------------------
+# end to end: every input ends in a documented exit code
+
+
+#: value texts per key: (valid, invalid).  grid.cells, run.t_end and
+#: scheme.max_steps are always set, and stay small when valid, so that
+#: each run is cheap.
+_BOUNDED = {
+    "grid.cells": (["4", "16", "64"], ["3", "x"]),
+    "run.t_end": (["0.001", "0.01"], ["0", "nan"]),
+    "scheme.max_steps": (["10", "2000"], ["-5", "1.5"]),
+}
+_E2E_VALUES = {
+    "params.mu": (["0.1", "1", "1e308"], ["0", "nan", "x"]),
+    "params.alpha": (["0", "0.5", "0.7", "1", "1.5"], ["-1"]),
+    "params.a": (["0.5", "1", "1e5"], ["0"]),
+    "params.gamma": (["1.4", "2", "3", "1e3"], ["1"]),
+    "params.rho_bar": (["0.5", "1", "2", "1e200"], ["0", "inf"]),
+    "params.theta": (["0", "0.25"], ["0.5"]),
+    "params.n_reg": (["1", "8", "inf"], ["0.5"]),
+    "grid.x_min": (["-20", "-1", "0"], ["inf"]),
+    "grid.x_max": (["1", "20"], ["-30"]),
+    "scenario.kind": (["theo1-strong-coupling", "corbis-weak-coupling",
+                       "theo2-constant-visc", "hoff-L2-velocity", "custom"],
+                      ["other"]),
+    "scenario.density_values": (["1,2,1", "1,1e-3,1", "1,20,1", "1e300,1,1",
+                                 "1"], ["1,0,1"]),
+    "scenario.density_breaks": (["0,8", "-0.5,0.5", ""], ["8,0"]),
+    "scenario.atoms": (["0:0.1", "0:1e306", ""], ["0:x"]),
+    "scenario.v0": (["zero", "gauss:0,0.1,1", "gauss:0,1e306,1"],
+                    ["gauss:0,1,0"]),
+    "scenario.u0": (["zero", "gauss:0,0.1,1", "gauss:0,1e306,1"], ["ramp"]),
+    "scenario.mollify_tau": (["auto", "0", "0.01"], ["-1"]),
+    "scheme.formulation": (["primitive", "effective"], ["other"]),
+    "scheme.cfl_safety": (["0.4", "1", "1e-9"], ["0"]),
+    "scheme.flux": (["rusanov", "upwind"], ["roe"]),
+    "scheme.limiter": (["mc", "minmod", "none"], ["superbee"]),
+    "scheme.bc": (["farfield", "periodic"], ["edge"]),
+    "run.record_every": (["0", "0.001", "0.004"], ["-1"]),
+    "run.jump_x0": (["0", "0.5"], ["100"]),
+    "study.dx_refinement": (["16,32", "16,32,64"], ["32,16", "x"]),
+    "study.n_sequence": (["8,inf", "4,16,inf"], ["0.5,inf", "x"]),
+}
+_STUDY_FILES = {"study-dx": "study_dx.json", "study-n": "study_n.json"}
+
+
+@st.composite
+def cli_inputs(draw):
+    """(command, preset, key -> value text), each value invalid one time in
+    ten."""
+    def value(valid, invalid):
+        pool = invalid if draw(st.integers(0, 9)) == 0 else valid
+        return draw(st.sampled_from(pool))
+
+    command = draw(st.sampled_from(["run", "study-dx", "study-n"]))
+    preset = draw(st.sampled_from(PRESET_NAMES))
+    mapping = {key: value(*texts) for key, texts in _BOUNDED.items()}
+    study = {"study-dx": "study.dx_refinement", "study-n": "study.n_sequence"}
+    if command in study:
+        mapping[study[command]] = value(*_E2E_VALUES[study[command]])
+    keys = draw(st.lists(st.sampled_from(sorted(_E2E_VALUES)), unique=True,
+                         max_size=6))
+    mapping.update({key: value(*_E2E_VALUES[key]) for key in keys})
+    return command, preset, mapping
+
+
+@settings(max_examples=300, deadline=None)
+@example(("study-n", "corbis",
+          {"grid.cells": "64", "run.t_end": "0.001",
+           "scheme.max_steps": "2000", "study.n_sequence": "8,16,inf"}))
+@given(cli_inputs())
+def test_cli_end_to_end_exit_codes(case):
+    """Every command and config ends in exit 0, 2 or 3, never in a
+    traceback; 0 and 3 leave a summary or a study JSON whose statuses agree
+    with the code, and 2 leaves config errors or a validation summary."""
+    command, preset, mapping = case
+    argv = [command, "--preset", preset]
+    for key, value in mapping.items():
+        argv += ["--override", f"{key}={value}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
+            warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", RuntimeWarning)  # the studies' threads
+        code = cli.main(argv + ["--out", out])
+        event(f"exit {code}")
+        if code == EXIT_VALIDATION:
+            if "config error: " not in err.getvalue():
+                with open(os.path.join(out, "summary.json")) as fh:
+                    assert json.load(fh)["status"] == "validation_error"
+            return
+        assert code in (EXIT_OK, EXIT_SOLVER)
+        if command == "run":
+            with open(os.path.join(out, "summary.json")) as fh:
+                statuses = [json.load(fh)["status"]]
+        else:
+            with open(os.path.join(out, _STUDY_FILES[command])) as fh:
+                statuses = [row["status"] for row in json.load(fh)]
+        assert (code == EXIT_OK) == all(s == "completed" for s in statuses)

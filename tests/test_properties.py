@@ -1,18 +1,20 @@
 """Property tests of the discrete identities on random positive densities
 under both boundary rules: the effective-momentum transform and its inverse,
 w - m = grad phi1(rho), the exact mass balance of one step (also of a stiff
-implicit one), and the cyclic-reduction solve against scipy and dense
-solves."""
+implicit one), the BD entropy over effective steps from rough data, and the
+cyclic-reduction solve against scipy and dense solves."""
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nsvisc1d import (EffectiveState, Grid1D, Params, State,
-                      centered_gradient, from_effective, phi1, to_effective)
+                      centered_gradient, diagnostics, from_effective, phi1,
+                      to_effective)
 from nsvisc1d.solver import SchemeConfig, cfl_dt, solve_tridiagonal, \
     step_effective, step_primitive
 
@@ -82,6 +84,48 @@ def test_stiff_effective_step_keeps_mass(cells, bc, alpha, data):
 
 
 @st.composite
+def bv_effective_states(draw):
+    """(EffectiveState, Grid1D, Params, bc): a piecewise-constant density of
+    1-4 pieces with values in [0.2, 5] on 16-64 cells, at rest in the
+    effective velocity (w = 0)."""
+    cells = draw(st.integers(16, 64))
+    pieces = draw(st.integers(1, 4))
+    breaks = sorted(draw(st.lists(st.integers(1, cells - 1),
+                                  min_size=pieces - 1, max_size=pieces - 1,
+                                  unique=True)))
+    values = draw(st.lists(st.floats(0.2, 5.0), min_size=pieces,
+                           max_size=pieces))
+    rho = np.repeat(values, np.diff([0, *breaks, cells]))
+    g = Grid1D(0.0, draw(st.sampled_from([1.0, 7.5])), cells)
+    p = Params(alpha=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    bc = draw(st.sampled_from(["farfield", "periodic"]))
+    return EffectiveState(rho, np.zeros(cells)), g, p, bc
+
+
+# the shrunk counterexample: on [0, 7.5] (dx = 0.47) the entropy rises from
+# 13.125 to 13.1313 in the second step
+COARSE_JUMP = (EffectiveState(np.array([1.0, 1.0] + [3.0] * 14), np.zeros(16)),
+               Grid1D(0.0, 7.5, 16), Params(alpha=0.0), "periodic")
+
+
+@pytest.mark.xfail(strict=True, reason="the effective stepper raises the BD "
+                   "entropy of rough data on coarse grids")
+@example(COARSE_JUMP, 2)
+@settings(max_examples=100, deadline=None)
+@given(bv_effective_states(), st.integers(1, 5))
+def test_effective_steps_never_raise_bd_entropy(case, steps):
+    # the BD entropy 0.5 int(rho v**2 + Pi(rho)) is a Lyapunov functional of
+    # the effective system: no step at the CFL step may raise it
+    e, g, p, bc = case
+    cfg = SchemeConfig(formulation="effective", bc=bc)
+    start = diagnostics.bd_entropy(State(e.rho, e.w), e.w, g, p)
+    for _ in range(steps):
+        e, _ = step_effective(e, cfl_dt(e, g, p, cfg), g, p, cfg)
+        now = diagnostics.bd_entropy(State(e.rho, e.w), e.w, g, p)
+        assert now <= start * (1.0 + 1e-12)
+
+
+@st.composite
 def tridiagonal_systems(draw):
     """(a, b, c, d): a diagonally dominant tridiagonal system of 4-300 rows
     with off-diagonals up to `scale` and a diagonal margin in [1, 10], as
@@ -108,6 +152,14 @@ def _solution_bound(a, b, c, d):
     return np.max(np.abs(d)) / np.min(np.abs(b) - np.abs(a) - np.abs(c))
 
 
+def _tolerance(a, b, c, d):
+    # relative to the solution bound, plus the absolute rounding of
+    # subnormal results (a subnormal d rounds to whole multiples of the
+    # smallest subnormal, whatever the solver)
+    return 1e-13 * _solution_bound(a, b, c, d) \
+        + 1e3 * np.finfo(float).smallest_subnormal
+
+
 @settings(max_examples=200, deadline=None)
 @given(tridiagonal_systems())
 def test_cyclic_reduction_matches_solve_banded(system):
@@ -116,7 +168,7 @@ def test_cyclic_reduction_matches_solve_banded(system):
     banded[0, 1:], banded[1], banded[2, :-1] = c[:-1], b, a[1:]
     ref = scipy.linalg.solve_banded((1, 1), banded, d)
     x = _solved(a, b, c, d, periodic=False)
-    assert np.max(np.abs(x - ref)) <= 1e-13 * _solution_bound(a, b, c, d)
+    assert np.max(np.abs(x - ref)) <= _tolerance(a, b, c, d)
     for periodic in (False, True):
         zero = _solved(a, b, c, np.zeros(len(d)), periodic)
         assert not np.any(zero)
@@ -130,4 +182,4 @@ def test_periodic_cyclic_reduction_matches_dense_solve(system):
     dense[0, -1], dense[-1, 0] = a[0], c[-1]
     ref = np.linalg.solve(dense, d)
     x = _solved(a, b, c, d, periodic=True)
-    assert np.max(np.abs(x - ref)) <= 1e-13 * _solution_bound(a, b, c, d)
+    assert np.max(np.abs(x - ref)) <= _tolerance(a, b, c, d)
