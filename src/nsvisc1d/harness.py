@@ -2,7 +2,6 @@
 CSV/JSON artifacts, and the refinement / regularization-sequence studies."""
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import logging
@@ -284,18 +283,18 @@ def write_artifacts(traj: Trajectory, cfg: RunConfig, out_dir: str) -> dict:
         for rec in traj.records:
             writer.writerow([repr(v) for v in rec.csv_row()])
 
-    keep = _sparse_indices(len(traj.snapshots), 5)
-    snaps = {
-        "x": cfg.grid.centers().tolist(),
-        "snapshots": [
-            {"t": traj.snapshots[i][0].t,
-             "rho": traj.snapshots[i][0].rho.tolist(),
-             "m": traj.snapshots[i][0].m.tolist()}
-            for i in keep
-        ],
-    }
+    # json.dump's bytes, one profile at a time through json.dumps: dump
+    # encodes in pure Python, and one dumps of the whole file holds all of
+    # its text at once
     with open(os.path.join(out_dir, "snapshots.json"), "w") as fh:
-        json.dump(snaps, fh)
+        fh.write(f'{{"x": {json.dumps(cfg.grid.centers().tolist())}, '
+                 '"snapshots": [')
+        for k, i in enumerate(_sparse_indices(len(traj.snapshots), 5)):
+            state = traj.snapshots[i][0]
+            fh.write(f'{", " if k else ""}{{"t": {json.dumps(state.t)}, '
+                     f'"rho": {json.dumps(state.rho.tolist())}, '
+                     f'"m": {json.dumps(state.m.tolist())}}}')
+        fh.write("]}")
 
     summary = {
         "status": traj.status,
@@ -352,10 +351,10 @@ def run_scenario(cfg: RunConfig, out_dir: str) -> int:
 # studies
 
 
-def _fan_out(cfgs: list, labels: list) -> list:
-    """Validate every member's scenario, then simulate each config on a
-    thread pool; trajectories in input order.  Raises ConfigError naming
-    each invalid member before any member runs."""
+def _run_members(cfgs: list, labels: list) -> list:
+    """Validate every member's scenario, then simulate each config in input
+    order on the calling thread.  Raises ConfigError naming each invalid
+    member before any member runs."""
     errors = []
     for label, member in zip(labels, cfgs):
         try:
@@ -364,9 +363,7 @@ def _fan_out(cfgs: list, labels: list) -> list:
             errors += [f"study member {label}: {v}" for v in exc.violations]
     if errors:
         raise ConfigError(errors)
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(4, len(cfgs))) as pool:
-        return list(pool.map(simulate, cfgs))
+    return [simulate(member) for member in cfgs]
 
 
 @dataclass
@@ -400,7 +397,7 @@ def refinement_study(cfg: RunConfig):
     cfgs = [replace(cfg, grid=replace(cfg.grid, cells=cells),
                     study=StudySpec())
             for cells in cfg.study.dx_refinement]
-    trajs = _fan_out(cfgs, [str(c.grid.cells) for c in cfgs])
+    trajs = _run_members(cfgs, [str(c.grid.cells) for c in cfgs])
 
     rows = []
     dists = []
@@ -449,7 +446,7 @@ def n_sequence_study(cfg: RunConfig):
         cfgs.append(replace(cfg, scenario=scen, study=StudySpec()))
     labels = ["inf" if math.isinf(n) else f"{n:g}"
               for n in cfg.study.n_sequence]
-    trajs = _fan_out(cfgs, labels)
+    trajs = _run_members(cfgs, labels)
 
     ref = None
     for rcfg, traj in zip(cfgs, trajs):

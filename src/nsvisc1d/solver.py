@@ -113,8 +113,7 @@ class Workspace:
     10, so a workspace holds 12 or 14 cell-sized arrays.  They are
     allocated as two blocks, the spare pair apart, so that the state last
     swapped in does not keep the scratch alive.  A workspace is private to
-    one run: concurrent runs (the studies' threads) each build
-    their own.  `cfl_dt` notes in `dt_bound` which limit set its step.
+    one run.  `cfl_dt` notes in `dt_bound` which limit set its step.
     """
 
     SCRATCH = {"primitive": 8, "effective": 10}
@@ -688,8 +687,11 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
 
             if state.t >= next_record - tiny:
                 record(state)
-                while next_record <= state.t + tiny:
-                    next_record += record_every if record_every else math.inf
+                # the first multiple of the cadence beyond t, or the next
+                # step for a cadence finer than it (the quotient may be inf)
+                ahead = state.t + tiny
+                next_record = min((ahead // record_every + 1) * record_every,
+                                  ahead + record_every)
     except VacuumError:
         traj.status = "vacuum_breach"
     except NonFiniteStateError:

@@ -250,6 +250,23 @@ def test_run_scenario_artifacts(tmp_path):
                                    "diffusive": summary["steps"]}
 
 
+def test_snapshots_json_matches_json_dump(tmp_path):
+    # written a profile at a time, in json.dump's bytes, non-finite values
+    # included
+    cfg = small_cfg(**{"run.t_end": 0.02})
+    traj = simulate(cfg)
+    traj.snapshots[0][0].rho[:3] = math.inf, -math.inf, math.nan
+    harness.write_artifacts(traj, cfg, str(tmp_path))
+    kept = [traj.snapshots[i][0]
+            for i in harness._sparse_indices(len(traj.snapshots), 5)]
+    expected = io.StringIO()
+    json.dump({"x": cfg.grid.centers().tolist(),
+               "snapshots": [{"t": s.t, "rho": s.rho.tolist(),
+                              "m": s.m.tolist()} for s in kept]}, expected)
+    assert len(kept) == 5
+    assert (tmp_path / "snapshots.json").read_text() == expected.getvalue()
+
+
 def test_simulate_deterministic():
     cfg = small_cfg()
     rho1 = simulate(cfg).final_state.rho
@@ -287,19 +304,18 @@ def test_refinement_study_rows_and_probe():
     assert trends <= {"converged", "persistent"} and len(trends) == 1
 
 
-def test_refinement_study_threaded_matches_serial():
-    # the study's thread fan-out gives the distance of two solo runs, bit
-    # for bit
+def test_refinement_study_matches_solo_runs():
+    # the study gives the distance of two solo runs, bit for bit
     cfg = small_cfg(**{"study.dx_refinement": "320,640"})
-    threaded = refinement_study(cfg)
+    rows = refinement_study(cfg)
     coarse_cfg = replace(cfg, study=StudySpec())
     fine_cfg = replace(coarse_cfg, grid=replace(cfg.grid, cells=640))
     coarse = simulate(coarse_cfg).final_state.rho
     fine = simulate(fine_cfg).final_state.rho
     dist = float(np.sum(np.abs(fine - np.repeat(coarse, 2)))
                  * fine_cfg.grid.dx)
-    assert [r.label for r in threaded] == ["320", "640"]
-    assert threaded[1].l1_distance == dist
+    assert [r.label for r in rows] == ["320", "640"]
+    assert rows[1].l1_distance == dist
 
 
 def test_refinement_study_requires_spec():
@@ -439,7 +455,6 @@ def test_cli_study_n_invalid_member_exits_2(tmp_path, capsys,
         "mollification time"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the members' threads
 @pytest.mark.parametrize("command, overrides, name", [
     ("study-dx", ["preset=corbis", "scenario.atoms=0:1e306",
                   "study.dx_refinement=32,64,128"], "study_dx.json"),
@@ -455,11 +470,34 @@ def test_cli_study_with_failed_members_exits_3(command, overrides, name,
             "--override", "grid.cells=64", "--override", "run.t_end=0.001"]
     for item in overrides[1:]:
         argv += ["--override", item]
-    assert cli.main(argv) == EXIT_SOLVER
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == EXIT_SOLVER
     assert "did not complete" in capsys.readouterr().err
     with open(out / name) as fh:
         payload = json.load(fh)
     assert {row["status"] for row in payload} == {"nonfinite"}
+
+
+def test_cli_study_members_run_under_callers_errstate(tmp_path, capsys):
+    # the members run on the calling thread, so the caller's numpy error
+    # state reaches them: the overflowing members warn of nothing
+    argv = ["study-n", "--preset", "hoff", "--out", str(tmp_path / "study"),
+            "--override", "grid.cells=64", "--override", "run.t_end=0.001",
+            "--override", "scenario.u0=gauss:0,1e306,1",
+            "--override", "study.n_sequence=8,inf"]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == EXIT_SOLVER
+    assert "did not complete" in capsys.readouterr().err
+
+
+def test_cli_run_cadence_finer_than_step_exits_0(tmp_path):
+    # a cadence far below the step records every step and ends at once
+    code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
+                     "--override", "grid.cells=64",
+                     "--override", "run.t_end=0.001",
+                     "--override", "run.record_every=1e-300"])
+    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("command, study", [
@@ -534,7 +572,8 @@ _E2E_VALUES = {
     "scheme.flux": (["rusanov", "upwind"], ["roe"]),
     "scheme.limiter": (["mc", "minmod", "none"], ["superbee"]),
     "scheme.bc": (["farfield", "periodic"], ["edge"]),
-    "run.record_every": (["0", "0.001", "0.004"], ["-1"]),
+    "run.record_every": (["0", "0.001", "0.004", "1e-300", "5e-324"],
+                         ["-1"]),
     "run.jump_x0": (["0", "0.5"], ["100"]),
     "study.dx_refinement": (["16,32", "16,32,64"], ["32,16", "x"]),
     "study.n_sequence": (["8,inf", "4,16,inf"], ["0.5,inf", "x"]),
@@ -577,8 +616,7 @@ def test_cli_end_to_end_exit_codes(case):
         argv += ["--override", f"{key}={value}"]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
-            warnings.catch_warnings(), contextlib.redirect_stderr(err):
-        warnings.simplefilter("ignore", RuntimeWarning)  # the studies' threads
+            contextlib.redirect_stderr(err):
         code = cli.main(argv + ["--out", out])
         event(f"exit {code}")
         if code == EXIT_VALIDATION:

@@ -275,6 +275,15 @@ def test_run_without_cadence_records_ends_only():
     assert traj.records[0].t == 0.0
 
 
+@pytest.mark.parametrize("every", [1e-300, 5e-324])
+def test_cadence_finer_than_step_records_every_step(every):
+    g, built = theo1_state()
+    traj = run(built.state, 0.004, g, Params(), SchemeConfig(),
+               record_every=every)
+    assert traj.status == "completed" and traj.steps > 1
+    assert len(traj.records) == traj.steps + 1
+
+
 def test_negative_t_end_rejected():
     g, built = theo1_state()
     with pytest.raises(ValueError):

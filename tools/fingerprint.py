@@ -15,6 +15,9 @@ under both formulations, both boundary rules and all three limiters; the
 primitive upwind flux; `params.n_reg = 8` and `params.alpha = 0.7`
 variants; and the forced manufactured-solution runs of acceptance
 criterion 4.  A case whose config is rejected records its error text.
+Besides the runs: the rows of a theo1 `refinement_study` (160, 320, 640
+cells) and `n_sequence_study` (n = 8, 16, inf), and the bytes of the three
+files `run_scenario` writes for a primitive theo1 and an effective hoff run.
 """
 from __future__ import annotations
 
@@ -23,12 +26,15 @@ import hashlib
 import json
 import logging
 import sys
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 PRESETS = ("equilibrium", "theo1", "corbis", "theo2", "hoff")
 BASE = {"grid.cells": "640", "run.t_end": "0.003", "run.record_every": "0.001"}
+ARTIFACTS = ("diagnostics.csv", "snapshots.json", "summary.json")
 
 
 def _digest(*parts) -> str:
@@ -89,6 +95,23 @@ def fingerprint() -> dict:
             continue
         traj = harness.simulate(cfg)
         out[label] = _trajectory(traj, harness.verdicts_for(traj, cfg))
+    for label, study, key, value in (
+            ("study/dx", harness.refinement_study, "study.dx_refinement",
+             "160,320,640"),
+            ("study/n", harness.n_sequence_study, "study.n_sequence",
+             "8,16,inf")):
+        cfg = harness.config_from_mapping({**BASE, "preset": "theo1",
+                                           key: value})
+        out[label] = {"rows": _digest([asdict(r) for r in study(cfg)])}
+    for label, raw in (("artifacts/theo1/primitive", {"preset": "theo1"}),
+                       ("artifacts/hoff/effective",
+                        {"preset": "hoff", "scheme.formulation": "effective"})):
+        cfg = harness.config_from_mapping({**BASE, **raw})
+        with tempfile.TemporaryDirectory() as tmp:
+            code = harness.run_scenario(cfg, tmp)
+            out[label] = {name: _digest((Path(tmp) / name).read_bytes())
+                          for name in ARTIFACTS}
+        out[label]["exit_code"] = _digest(code)
     # acceptance criterion 4: forced periodic runs to t = 0.05
     p = Params(mu=0.1, alpha=1.0)
     ms = ManufacturedSolution(p)
