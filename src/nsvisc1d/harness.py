@@ -301,7 +301,8 @@ def write_artifacts(traj: Trajectory, cfg: RunConfig, out_dir: str) -> dict:
         "steps": traj.steps,
         "dt_min": traj.dt_min,
         "dt_max": traj.dt_max,
-        "dt_bound": traj.dt_bound,
+        "stiffness_min": traj.stiffness_min,
+        "stiffness_max": traj.stiffness_max,
         "cells": cfg.grid.cells,
         "t_final": traj.records[-1].t,
         "mass_error_max": traj.mass_error_max,

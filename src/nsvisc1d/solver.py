@@ -1,18 +1,25 @@
 """Conservative finite-volume time stepping for both formulations.
 
-Primitive: explicit steps; mass/momentum fluxes by MUSCL-reconstructed
-Rusanov (or upwind) interface states plus a centered viscous flux with
-harmonic face viscosity, limited by the advective and diffusive CFL bounds.
+Both steppers are IMEX: the transport is explicit and the parabolic term
+implicit, one tridiagonal cyclic-reduction solve per pass, so the step is
+limited by the advective CFL bound alone.
+Primitive: an IMEX-SSP2(2,2,2) step (Pareschi & Russo 2005).  The mass and
+momentum fluxes (MUSCL-reconstructed Rusanov or upwind interface states)
+are explicit Heun stages; the viscous term (mu_n(rho) u_x)_x, a centered
+flux with harmonic face viscosity, is solved for u with rho frozen at the
+stage density, which makes it linear, so one solve per stage is exact.
 Effective: an IMEX ARS(2,2,2) step (Ascher, Ruuth & Spiteri 1997).  The
 upwinded drift of rho, the convection of w and the pressure relaxation are
 explicit; the nonlinear density diffusion (mu_n(rho)/rho rho_x)_x is
-linearly implicit, one tridiagonal cyclic-reduction solve per pass, so the
-step is limited by the advective bound alone.
+linearly implicit, solved twice per stage with the coefficients frozen at
+the predictor and then at the first solution.
 
 Both steppers are one frame: pad the state (`_pad2`), reconstruct the faces
 (`_faces`), upwind or Rusanov face fluxes (`_upwind`), harmonic face means
-of the viscosity or diffusivity (`_harmonic_mean`), the conservative update
-(`_update`), sources (`_add_source`) and the vacuum floor (`_check_floor`).
+of the viscosity or diffusivity (`_harmonic_mean`), the implicit solve for
+an increment (`_solve_increment`) and its face flux (`_gradient_flux`), the
+conservative update (`_update`), sources (`_add_source`) and the vacuum
+floor (`_check_floor`).
 The cell velocities v = w/rho and u = v - d_x phi(rho) of an effective
 state have one definition (`_velocities`), shared by `cfl_dt` and the
 explicit stage.
@@ -86,9 +93,10 @@ class Trajectory:
     # None when the run took no step
     dt_min: Optional[float] = None
     dt_max: Optional[float] = None
-    # the number of steps whose CFL step each limit set
-    dt_bound: dict = field(
-        default_factory=lambda: {"advective": 0, "diffusive": 0})
+    # smallest and largest ratio of those steps to the explicit diffusive
+    # limit (`Workspace.stiffness`); None when the run took no step
+    stiffness_min: Optional[float] = None
+    stiffness_max: Optional[float] = None
 
     @property
     def final_state(self) -> State:
@@ -104,35 +112,39 @@ class Workspace:
 
     `rho` and `mom` hold the state padded by two ghost cells per side (the
     MUSCL stencil, and `cfl_dt`'s velocities of an effective state); `tmp`
-    is scratch for slopes, faces, fluxes, the viscous term, `cfl_dt` and
-    the per-step BD rate, and on an effective run also for the implicit
-    solves and the step's two accumulators (the weighted mass flux and the
-    weighted rate of w); `spare` receives the next state, and `run` hands
-    the replaced state's arrays back as the new spare once the step is
-    accepted.  Primitive steps use 8 scratch arrays and effective steps
-    10, so a workspace holds 12 or 14 cell-sized arrays.  They are
-    allocated as two blocks, the spare pair apart, so that the state last
-    swapped in does not keep the scratch alive.  A workspace is private to
-    one run.  `cfl_dt` notes in `dt_bound` which limit set its step.
+    is scratch for slopes, faces, fluxes, the implicit solves, `cfl_dt`
+    and the per-step BD rate, and holds the step's two accumulators (the
+    weighted mass flux, and the weighted momentum flux of a primitive step
+    or rate of w of an effective one); `spare` receives the next state,
+    and `run` hands the replaced state's arrays back as the new spare once
+    the step is accepted (a primitive step also uses the pair as solver
+    scratch until it writes the new state).  Primitive steps use 9 scratch
+    arrays and effective steps 10, so a workspace holds 13 or 14
+    cell-sized arrays.  They are allocated as two blocks, the spare pair
+    apart, so that the state last swapped in does not keep the scratch
+    alive.  A workspace is private to one run.  `cfl_dt` notes in
+    `stiffness` the ratio of its advective step to the explicit diffusive
+    limit 0.5 * dx**2 * min(rho / mu_n(rho)) (the same for the primitive
+    viscosity and the effective diffusivity mu_n(rho)/rho): the factor by
+    which the implicit solves lengthen the step.
     """
 
-    SCRATCH = {"primitive": 8, "effective": 10}
+    SCRATCH = {"primitive": 9, "effective": 10}
 
     def __init__(self, cells: int, formulation: str):
         padded = np.empty((2 + self.SCRATCH[formulation], cells + 4))
         self.rho, self.mom, *self.tmp = padded
         self.spare = tuple(np.empty((2, cells)))
         self.mask = np.empty(cells + 4, dtype=bool)
-        self.dt_bound = None  # "advective" | "diffusive"
+        self.stiffness = None
 
 
 def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
            cfg: SchemeConfig, ws: Optional[Workspace] = None) -> float:
-    """Stable step: safety * dx / max(|speed| + c), and on a primitive run
-    also at most safety * 0.5 * dx**2 * min(rho / mu_n(rho)); the effective
-    stepper treats the diffusion implicitly, so its step is advective.
-    The effective speed is max(|v|, |u|).  Notes the binding limit in
-    `ws.dt_bound`."""
+    """Stable step: safety * dx / max(|speed| + c).  Both steppers treat
+    the viscous or diffusive term implicitly, so the step is advective.
+    The speed is |u| on a primitive run and max(|v|, |u|) on an effective
+    one.  Notes the step's stiffness in `ws.stiffness`."""
     effective = cfg.formulation == "effective"
     if ws is None:
         ws = Workspace(g.cells, cfg.formulation)
@@ -154,13 +166,12 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
         speed = np.abs(np.divide(mom, rho, out=t0[:n]), out=t1[:n])
     speed += sound_speed(rho, p, out=t0[:n])
     adv = g.dx / np.max(speed)
-    if effective:
-        ws.dt_bound = "advective"
-        return cfg.cfl_safety * float(adv)
-    mu = viscosity(rho, p, out=t0[:n], scratch=t1[:n])
-    diff = 0.5 * g.dx ** 2 * np.min(np.divide(rho, mu, out=mu))
-    ws.dt_bound = "advective" if adv <= diff else "diffusive"
-    return cfg.cfl_safety * min(float(adv), float(diff))
+    # adv / (0.5 dx**2 min(rho/mu)), in float products so that an
+    # overflowing viscosity gives inf rather than a division by zero
+    diffusivity = np.divide(viscosity(rho, p, out=t0[:n], scratch=t1[:n]),
+                            rho, out=t0[:n])
+    ws.stiffness = 2.0 * float(adv) * float(np.max(diffusivity)) / g.dx ** 2
+    return cfg.cfl_safety * float(adv)
 
 
 def _slopes(q: np.ndarray, limiter: str, a, b, c, d, mask) -> np.ndarray:
@@ -254,78 +265,165 @@ def _add_source(q: np.ndarray, rate: np.ndarray, dt: float, scratch):
     q += np.multiply(rate, dt, out=scratch[:len(q)])
 
 
-def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
-                   cfg: SchemeConfig, source: Source = None,
-                   ws: Optional[Workspace] = None):
-    """One conservative update of (rho, rho*u); returns the new State, held
-    in the workspace's spare arrays, and the boundary mass fluxes (left,
-    right) for exact mass-balance audits."""
-    if ws is None:
-        ws = Workspace(g.cells, "primitive")
-    dx = g.dx
-    nf = g.cells + 1  # faces
+# GAMMA = 1 - 1/sqrt 2 is the implicit diagonal of both IMEX tableaux.
+# IMEX-SSP2(2,2,2) (primitive): explicit Heun with weights 1/2 and 1/2,
+# implicit weight 1 - 2 GAMMA on the first stage's rate in the second.
+# ARS(2,2,2) (effective): explicit weight DELTA on the first stage's rate in
+# the last stage.
+GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
+
+
+def _primitive_flux(rho, m, p: Params, cfg: SchemeConfig, ws: Workspace,
+                    out_mass, out_mom):
+    # explicit part at a width-2 padded stage (rho, m): the mass and the
+    # momentum (convection plus pressure) face fluxes, Rusanov or upwind,
+    # on the cells+1 faces of the rows out_mass and out_mom; returns those
+    # views.  Scratch tmp[0..4]
+    nf = len(rho) - 3
     t = ws.tmp
-    rho, m = _pad2(s.rho, s.m, p, cfg, ws)
-    rho_new, m_new = ws.spare
-
-    rhoL, rhoR = _faces(rho, cfg.limiter, t[2], t[3], t[0], t[1], ws.mask)
-    mL, mR = _faces(m, cfg.limiter, t[4], t[5], t[0], t[1], ws.mask)
-    uL = np.divide(mL, rhoL, out=t[0][:nf])
-    uR = np.divide(mR, rhoR, out=t[1][:nf])
-    y, z = (b[:nf] for b in t[6:8])
-
+    rhoL, rhoR = _faces(rho, cfg.limiter, t[0], t[1], t[2], t[3], ws.mask)
+    mL, mR = _faces(m, cfg.limiter, out_mass, t[4], t[2], t[3], ws.mask)
+    a, y, z = t[2][:nf], out_mom[:nf], t[3][:nf]
     if cfg.flux == "rusanov":
-        f_mom = np.multiply(mL, uL, out=y)
-        f_mom += pressure(rhoL, p, out=z)
-        f_mom += np.multiply(mR, uR, out=z)
-        f_mom += pressure(rhoR, p, out=z)
-        f_mom *= 0.5
-        # 0.5 * smax, in the arrays of uL and uR (neither is needed again)
-        half_smax = np.abs(uL, out=uL)
+        # 0.5 * the larger wave speed |u| + c of the two sides, into a
+        half_smax = np.abs(np.divide(mL, rhoL, out=a), out=a)
         half_smax += sound_speed(rhoL, p, out=z)
-        speed_R = np.abs(uR, out=uR)
+        speed_R = np.abs(np.divide(mR, rhoR, out=y), out=y)
         speed_R += sound_speed(rhoR, p, out=z)
         np.maximum(half_smax, speed_R, out=half_smax)
         half_smax *= 0.5
-        f_mass = np.add(mL, mR, out=speed_R)
+        f_mom = np.multiply(np.divide(mL, rhoL, out=y), mL, out=y)
+        f_mom += pressure(rhoL, p, out=z)
+        f_mom += np.multiply(np.divide(mR, rhoR, out=z), mR, out=z)
+        f_mom += pressure(rhoR, p, out=z)
+        f_mom *= 0.5
+        f_mom -= np.multiply(half_smax, np.subtract(mR, mL, out=z), out=z)
+        f_mass = np.add(mL, mR, out=mL)
         f_mass *= 0.5
         f_mass -= np.multiply(half_smax, np.subtract(rhoR, rhoL, out=z), out=z)
-        f_mom -= np.multiply(half_smax, np.subtract(mR, mL, out=z), out=z)
     else:  # upwind convection, centered pressure
-        ubar = np.add(uL, uR, out=uL)
+        ubar = np.divide(mL, rhoL, out=a)
+        ubar += np.divide(mR, rhoR, out=z)
         ubar *= 0.5
-        f_mass = _upwind(ubar, rhoL, rhoR, uR, ws.mask)
         f_mom = _upwind(ubar, mL, mR, y, ws.mask)
+        f_mass = _upwind(ubar, rhoL, rhoR, mL, ws.mask)
         pbar = np.add(pressure(rhoL, p, out=z), pressure(rhoR, p, out=ubar),
                       out=z)
         pbar *= 0.5
         f_mom += pbar
-    fluxes = (float(f_mass[0]), float(f_mass[-1]))
-    _update(s.rho, f_mass, dt, dx, rho_new)
+    return f_mass, f_mom
 
-    # centered viscous flux with harmonic-mean face viscosity
-    u_cells = np.divide(m[1:-1], rho[1:-1], out=t[0][:nf + 1])
-    mu_c = viscosity(rho[1:-1], p, out=t[1][:nf + 1], scratch=t[2][:nf + 1])
-    mu_face = _harmonic_mean(mu_c, t[2], z)
-    visc = np.multiply(mu_face, np.subtract(u_cells[1:], u_cells[:-1], out=z),
-                       out=z)
-    visc /= dx
-    f_mom -= visc
-    _update(s.m, f_mom, dt, dx, m_new)
 
+def _gradient_flux(q, face, scale: float, out):
+    # scale * face * (q[i+1] - q[i]) on the faces of a padded q, into out
+    grad = np.subtract(q[1:], q[:-1], out=out)
+    grad *= face
+    grad *= scale
+    return grad
+
+
+def _solve_increment(q, face, mass, s: float, cfg: SchemeConfig, x,
+                     lower, diag, upper, work):
+    # the increment y with (mass - s L)(q + y) = mass q, that is
+    # (mass - s L) y = s L q, written into x (one value per cell) and
+    # returned.  L q = face_{i+1/2} (q_{i+1} - q_i) - face_{i-1/2} (q_i -
+    # q_{i-1}) on the width-1 padded q is zero for a constant q, so a
+    # uniform state stays exactly uniform; with mass > 0 the matrix is an
+    # M-matrix.  mass is a number or a cell array; lower, diag, upper and the
+    # three work rows are scratch, and diag may hold q (the right-hand side
+    # is formed first); work[0] takes the cells+1 face values
+    n = len(x)
+    grad = np.subtract(q[1:], q[:-1], out=work[0][:n + 1])
+    grad *= face
+    np.subtract(grad[1:], grad[:-1], out=x)
+    x *= s
+    np.multiply(face[:-1], -s, out=lower[:n])
+    np.multiply(face[1:], -s, out=upper[:n])
+    np.subtract(mass, lower[:n], out=diag[:n])
+    np.subtract(diag[:n], upper[:n], out=diag[:n])
+    return solve_tridiagonal(lower[:n], diag[:n], upper[:n], x,
+                             periodic=cfg.bc == "periodic", work=work)
+
+
+def _implicit_viscosity(rho, m, k: float, g: Grid1D, p: Params,
+                        cfg: SchemeConfig, ws: Workspace, visc):
+    # solve rho u - k (mu_n(rho) u_x)_x = m for u at the width-2 padded
+    # stage (rho, m), mu_n frozen at rho: the equation is linear in u, so
+    # one solve, for the increment of m/rho, is exact.  Writes rho*u into m
+    # (ghosts filled) and the solved viscous face flux
+    # -mu_face (u_{i+1} - u_i)/dx, with the harmonic face mean of mu_n, into
+    # the cells+1 faces of visc.  Scratch tmp[0..5] and the spare pair
+    n = g.cells
+    t = ws.tmp
+    mu_c = viscosity(rho[1:-1], p, out=t[1][:n + 2], scratch=t[2][:n + 2])
+    mu_face = _harmonic_mean(mu_c, t[0], t[2])
+    u = np.divide(m[1:-1], rho[1:-1], out=t[1][:n + 2])
+    x = _solve_increment(u, mu_face, rho[2:-2], k / g.dx ** 2, cfg,
+                         t[2][:n], t[3], t[1], t[4], (t[5], *ws.spare))
+    m[2:-2] += np.multiply(rho[2:-2], x, out=x)
+    fill_ghosts(m, 2, cfg.bc, 0.0)
+    u = np.divide(m[1:-1], rho[1:-1], out=t[1][:n + 2])
+    _gradient_flux(u, mu_face, -1.0 / g.dx, visc[:n + 1])
+
+
+def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
+                   cfg: SchemeConfig, source: Source = None,
+                   ws: Optional[Workspace] = None):
+    """One IMEX-SSP2(2,2,2) update of (rho, rho*u) (Pareschi & Russo 2005):
+    mass and momentum transport and sources explicit, at t and t + dt; the
+    viscous term (mu_n(rho) u_x)_x implicit, solved for u with rho frozen at
+    the stage density, which the explicit mass update fixes.  The new state
+    is rebuilt in flux form from the stage fluxes with weights 1/2 and 1/2,
+    so the returned boundary mass fluxes (left, right) are the step-weighted
+    ones.  The new State is held in the workspace's spare arrays."""
+    if ws is None:
+        ws = Workspace(g.cells, "primitive")
+    dx = g.dx
+    nf = g.cells + 1
+    t = ws.tmp
+    f_mass, f_mom = t[7][:nf], t[8][:nf]  # the step's weighted sums
+    k = GAMMA * dt
+    rho, m = _pad2(s.rho, s.m, p, cfg, ws)
+
+    # stage 1: implicit at the old density, then the explicit part there
+    _implicit_viscosity(rho, m, k, g, p, cfg, ws, f_mom)
+    _, g1 = _primitive_flux(rho, m, p, cfg, ws, t[7], t[5])
+
+    # stage 2: the explicit predictor, implicit at its density, then the
+    # explicit part there
+    pred = np.multiply(f_mom, 1.0 - 2.0 * GAMMA, out=t[6][:nf])
+    pred += g1
+    f_mom += g1
+    _update(s.rho, f_mass, dt, dx, rho[2:-2])
+    _update(s.m, pred, dt, dx, m[2:-2])
     if source is not None:
-        s_rho, s_mom = source(g.centers(), s.t)
-        _add_source(rho_new, s_rho, dt, z)
-        _add_source(m_new, s_mom, dt, z)
+        s1_rho, s1_m = source(g.centers(), s.t)
+        _add_source(rho[2:-2], s1_rho, dt, t[6])
+        _add_source(m[2:-2], s1_m, dt, t[6])
+    _check_floor(rho[2:-2], cfg, p, s.t)
+    fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
+    fill_ghosts(m, 2, cfg.bc, 0.0)
+    _implicit_viscosity(rho, m, k, g, p, cfg, ws, t[6])
+    f_mom += t[6][:nf]
+    f2, g2 = _primitive_flux(rho, m, p, cfg, ws, t[6], t[5])
+    f_mass += f2
+    f_mass *= 0.5
+    f_mom += g2
+    f_mom *= 0.5
 
+    # the new state in flux form from the weighted stage fluxes
+    rho_new, m_new = ws.spare
+    _update(s.rho, f_mass, dt, dx, rho_new)
+    _update(s.m, f_mom, dt, dx, m_new)
+    if source is not None:
+        s2_rho, s2_m = source(g.centers(), s.t + dt)
+        for q, rates in ((rho_new, (s1_rho, s2_rho)), (m_new, (s1_m, s2_m))):
+            for rate in rates:
+                _add_source(q, rate, 0.5 * dt, t[0])
     _check_floor(rho_new, cfg, p, s.t)
-    return State(rho_new, m_new, s.t + dt), fluxes
-
-
-# ARS(2,2,2): implicit weight GAMMA on the diagonal, explicit weight DELTA
-# on the first stage's rate in the last stage
-GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
-DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
+    return State(rho_new, m_new, s.t + dt), (float(f_mass[0]),
+                                             float(f_mass[-1]))
 
 
 def solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -469,24 +567,12 @@ def _implicit_diffusion(rho, k: float, g: Grid1D, p: Params,
         dcoef = viscosity(q, p, out=t[2][:nf + 1], scratch=t[3][:nf + 1])
         dcoef /= q
         _harmonic_mean(dcoef, d_face, t[3])
-        # right-hand side k L rho in flux form: zero for a constant rho
-        grad = np.subtract(rho[2:-1], rho[1:-2], out=t[5][:nf])
-        grad *= d_face
-        np.subtract(grad[1:], grad[:-1], out=x)
-        x *= s
-        np.multiply(d_face[:-1], -s, out=lower[:n])
-        np.multiply(d_face[1:], -s, out=upper[:n])
-        np.subtract(1.0, lower[:n], out=diag[:n])
-        np.subtract(diag[:n], upper[:n], out=diag[:n])
-        solve_tridiagonal(lower[:n], diag[:n], upper[:n], x,
-                          periodic=cfg.bc == "periodic", work=t[5:8])
+        _solve_increment(rho[1:-1], d_face, 1.0, s, cfg, x, lower, diag,
+                         upper, t[5:8])
     rho_in = rho[2:-2]
     rho_in += x
     fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
-    grad = np.subtract(rho[2:-1], rho[1:-2], out=t[5][:nf])
-    grad *= d_face
-    grad *= -weight / g.dx
-    flux += grad
+    flux += _gradient_flux(rho[1:-1], d_face, -weight / g.dx, t[5][:nf])
 
 
 def _check_floor(rho, cfg: SchemeConfig, p: Params, t: float):
@@ -624,6 +710,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     mass_prev = float(np.sum(state.rho)) * dx
     mass_scale = abs(mass_prev) if mass_prev != 0 else 1.0
     dt_lo, dt_hi = math.inf, 0.0
+    stiff_lo, stiff_hi = math.inf, 0.0
 
     base_l1 = None
 
@@ -650,7 +737,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
 
     try:
         dt_cfl = cfl_dt(state, g, p, cfg, ws=ws)
-        bound = ws.dt_bound
+        stiffness = ws.stiffness
         while state.t < t_end - tiny:
             if traj.steps >= cfg.max_steps:
                 traj.status = "step_budget_exhausted"
@@ -664,8 +751,9 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             state = new
             traj.steps += 1
             dt_lo, dt_hi = min(dt_lo, dt_cfl), max(dt_hi, dt_cfl)
-            traj.dt_bound[bound] += 1
-            dt_cfl, bound = dt_next, ws.dt_bound
+            stiff_lo = min(stiff_lo, stiffness)
+            stiff_hi = max(stiff_hi, stiffness)
+            dt_cfl, stiffness = dt_next, ws.stiffness
 
             # exact discrete mass balance audit (meaningless under forcing)
             mass_now = float(np.sum(state.rho)) * dx
@@ -699,6 +787,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
 
     if traj.steps:
         traj.dt_min, traj.dt_max = dt_lo, dt_hi
+        traj.stiffness_min, traj.stiffness_max = stiff_lo, stiff_hi
     del ws, rate_scratch
     if traj.records[-1].t < state.t - tiny:
         record(state)

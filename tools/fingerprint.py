@@ -54,7 +54,7 @@ def _trajectory(traj, verdicts) -> dict:
         "steps": _digest(traj.steps),
         "status": _digest(traj.status),
         "mass_audits": _digest(traj.mass_error_max, traj.mass_error_accum),
-        "dt": _digest(traj.dt_min, traj.dt_max, sorted(traj.dt_bound.items())),
+        "dt": _digest(traj.dt_min, traj.dt_max),
         "verdicts": _digest(sorted(verdicts.items())),
         "warnings": _digest(traj.warnings),
     }
