@@ -283,18 +283,27 @@ def write_artifacts(traj: Trajectory, cfg: RunConfig, out_dir: str) -> dict:
         for rec in traj.records:
             writer.writerow([repr(v) for v in rec.csv_row()])
 
-    # json.dump's bytes, one profile at a time through json.dumps: dump
-    # encodes in pure Python, and one dumps of the whole file holds all of
-    # its text at once
-    with open(os.path.join(out_dir, "snapshots.json"), "w") as fh:
-        fh.write(f'{{"x": {json.dumps(cfg.grid.centers().tolist())}, '
-                 '"snapshots": [')
+    # imported here: at module level it would add to every `import nsvisc1d`
+    import orjson
+
+    def encode(a: np.ndarray) -> bytes:
+        # orjson writes NaN and +-Infinity as null; a profile that blew up
+        # keeps json's spelling, so the artifact shows which cells did
+        if np.isfinite(a).all():
+            return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+        return json.dumps(a.tolist(), separators=(",", ":")).encode()
+
+    # the bytes of one orjson.dumps of {"x": ..., "snapshots": [...]},
+    # written a profile at a time so that the file's text is never held whole
+    with open(os.path.join(out_dir, "snapshots.json"), "wb") as fh:
+        fh.write(b'{"x":%s,"snapshots":[' % encode(cfg.grid.centers()))
         for k, i in enumerate(_sparse_indices(len(traj.snapshots), 5)):
             state = traj.snapshots[i][0]
-            fh.write(f'{", " if k else ""}{{"t": {json.dumps(state.t)}, '
-                     f'"rho": {json.dumps(state.rho.tolist())}, '
-                     f'"m": {json.dumps(state.m.tolist())}}}')
-        fh.write("]}")
+            t = orjson.dumps(state.t, option=orjson.OPT_SERIALIZE_NUMPY)
+            fh.write(b'%s{"t":%s,"rho":%s,"m":%s}'
+                     % (b"," if k else b"", t, encode(state.rho),
+                        encode(state.m)))
+        fh.write(b"]}")
 
     summary = {
         "status": traj.status,

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from _runs import desk_grid, preset_traj
 from mms import ManufacturedSolution
-from nsvisc1d import Grid1D, Params, State
+from nsvisc1d import EffectiveState, Grid1D, Params, State
 from nsvisc1d.core import (
     UnsupportedExponentError,
     centered_gradient,
@@ -24,8 +24,8 @@ from nsvisc1d.core import (
     to_effective,
 )
 from nsvisc1d.initdata import PRESET_NAMES
-from nsvisc1d.solver import SchemeConfig, cfl_dt, run, step_effective, \
-    step_primitive
+from nsvisc1d.solver import SchemeConfig, Workspace, cfl_dt, run, \
+    step_effective, step_primitive
 from nsvisc1d import harness
 
 RESOLUTIONS = (128, 256, 512)
@@ -90,19 +90,20 @@ def test_criterion_02_equilibrium_fixed_point():
     drift = 0.0
     for formulation, stepper, cls in (
             ("primitive", step_primitive, State),
-            ("effective", step_effective, None)):
+            ("effective", step_effective, EffectiveState)):
         cfg = SchemeConfig(formulation=formulation)
-        if formulation == "primitive":
-            s = State(np.full(g.cells, p.rho_bar), np.zeros(g.cells))
-        else:
-            from nsvisc1d import EffectiveState
-            s = EffectiveState(np.full(g.cells, p.rho_bar), np.zeros(g.cells))
-        dt = cfl_dt(s, g, p, cfg)
+        s = cls(np.full(g.cells, p.rho_bar), np.zeros(g.cells))
+        field = "w" if formulation == "effective" else "m"
+        # one workspace for all the steps, with run's swap: the replaced
+        # state's arrays receive the next step
+        ws = Workspace(g.cells, formulation)
+        dt = cfl_dt(s, g, p, cfg, ws=ws)
         for _ in range(10_000):
-            s, _ = stepper(s, dt, g, p, cfg)
-        mom = s.w if formulation == "effective" else s.m
+            new, _ = stepper(s, dt, g, p, cfg, ws=ws)
+            ws.spare = (s.rho, getattr(s, field))
+            s = new
         drift = max(drift, float(np.max(np.abs(s.rho - p.rho_bar))),
-                    float(np.max(np.abs(mom))))
+                    float(np.max(np.abs(getattr(s, field)))))
     check(2, "equilibrium fixed point", drift <= 1e-12,
           f"max field drift {drift:.2e} after 1e4 steps (tol 1e-12)")
 

@@ -11,6 +11,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -238,6 +239,10 @@ def test_run_scenario_artifacts(tmp_path):
     assert len(snaps["x"]) == 320
     assert 1 <= len(snaps["snapshots"]) <= 5
     assert len(snaps["snapshots"][0]["rho"]) == 320
+    # the last snapshot is the final state, the profile a CLI user reads
+    final = simulate(small_cfg()).final_state
+    assert np.asarray(snaps["snapshots"][-1]["rho"]).tobytes() == \
+        final.rho.tobytes()
 
     with open(f"{out}/summary.json") as fh:
         summary = json.load(fh)
@@ -248,21 +253,51 @@ def test_run_scenario_artifacts(tmp_path):
     assert 1 < summary["stiffness_min"] <= summary["stiffness_max"]
 
 
-def test_snapshots_json_matches_json_dump(tmp_path):
-    # written a profile at a time, in json.dump's bytes, non-finite values
-    # included
+def _kept_states(traj):
+    return [traj.snapshots[i][0]
+            for i in harness._sparse_indices(len(traj.snapshots), 5)]
+
+
+def test_snapshots_json_is_one_orjson_dump(tmp_path):
+    # written a profile at a time, in the bytes of one orjson.dumps of the
+    # whole document
+    cfg = small_cfg(**{"run.t_end": 0.5})
+    traj = simulate(cfg)
+    harness.write_artifacts(traj, cfg, str(tmp_path))
+    kept = _kept_states(traj)
+    assert len(kept) == 5
+    assert all(np.isfinite(a).all() for s in kept for a in (s.rho, s.m))
+    expected = orjson.dumps(
+        {"x": cfg.grid.centers(),
+         "snapshots": [{"t": s.t, "rho": s.rho, "m": s.m} for s in kept]},
+        option=orjson.OPT_SERIALIZE_NUMPY)
+    assert (tmp_path / "snapshots.json").read_bytes() == expected
+
+
+def test_snapshots_json_keeps_non_finite_values(tmp_path):
+    # a profile that blew up reads back value for value, bit for bit, with
+    # its non-finite cells spelled as json spells them
     cfg = small_cfg(**{"run.t_end": 0.5})
     traj = simulate(cfg)
     traj.snapshots[0][0].rho[:3] = math.inf, -math.inf, math.nan
     harness.write_artifacts(traj, cfg, str(tmp_path))
-    kept = [traj.snapshots[i][0]
-            for i in harness._sparse_indices(len(traj.snapshots), 5)]
-    expected = io.StringIO()
-    json.dump({"x": cfg.grid.centers().tolist(),
-               "snapshots": [{"t": s.t, "rho": s.rho.tolist(),
-                              "m": s.m.tolist()} for s in kept]}, expected)
-    assert len(kept) == 5
-    assert (tmp_path / "snapshots.json").read_text() == expected.getvalue()
+    with open(tmp_path / "snapshots.json") as fh:
+        doc = json.load(fh)
+    kept = _kept_states(traj)
+    assert len(doc["snapshots"]) == len(kept) == 5
+
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    assert bits(doc["x"]) == cfg.grid.centers().tobytes()
+    for snap, s in zip(doc["snapshots"], kept):
+        assert list(snap) == ["t", "rho", "m"]
+        assert bits(snap["t"]) == bits(s.t)
+        assert bits(snap["rho"]) == s.rho.tobytes()
+        assert bits(snap["m"]) == s.m.tobytes()
+    # np.asarray reads a null as nan, so check the spelling itself
+    assert doc["snapshots"][0]["rho"][:2] == [math.inf, -math.inf]
+    assert math.isnan(doc["snapshots"][0]["rho"][2])
 
 
 def test_simulate_deterministic():

@@ -2,8 +2,9 @@
 under both boundary rules: the effective-momentum transform and its inverse,
 w - m = grad phi1(rho), the exact mass balance of one step (also of a stiff
 implicit one), the BD entropy over effective steps from rough data, and the
-cyclic-reduction solve against scipy and dense solves."""
+cyclic-reduction solve against refined scipy and dense solves."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ def _solution_bound(a, b, c, d):
     return np.max(np.abs(d)) / np.min(np.abs(b) - np.abs(a) - np.abs(c))
 
 
+def _refined(solve, a, b, c, d, periodic):
+    # a reference solve errs by up to ~cond * eps, above the tolerance at
+    # margin 1 and off-diagonals 1e3 (solve_banded by 1.1e-13 where the
+    # cyclic reduction errs by 1.6e-14), so it takes one refinement step on
+    # the residual computed exactly in rationals
+    x = solve(d)
+    r = np.empty(len(d))
+    for i in range(len(d)):
+        s = Fraction(d[i]) - Fraction(b[i]) * Fraction(x[i])
+        if i > 0 or periodic:
+            s -= Fraction(a[i]) * Fraction(x[i - 1])
+        if i < len(d) - 1 or periodic:
+            s -= Fraction(c[i]) * Fraction(x[(i + 1) % len(d)])
+        r[i] = float(s)
+    return x + solve(r)
+
+
 def _tolerance(a, b, c, d):
     # relative to the solution bound, plus the absolute rounding of
     # subnormal results (a subnormal d rounds to whole multiples of the
@@ -166,7 +184,8 @@ def test_cyclic_reduction_matches_solve_banded(system):
     a, b, c, d = system
     banded = np.zeros((3, len(d)))
     banded[0, 1:], banded[1], banded[2, :-1] = c[:-1], b, a[1:]
-    ref = scipy.linalg.solve_banded((1, 1), banded, d)
+    ref = _refined(lambda r: scipy.linalg.solve_banded((1, 1), banded, r),
+                   a, b, c, d, periodic=False)
     x = _solved(a, b, c, d, periodic=False)
     assert np.max(np.abs(x - ref)) <= _tolerance(a, b, c, d)
     for periodic in (False, True):
@@ -180,6 +199,7 @@ def test_periodic_cyclic_reduction_matches_dense_solve(system):
     a, b, c, d = system
     dense = np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
     dense[0, -1], dense[-1, 0] = a[0], c[-1]
-    ref = np.linalg.solve(dense, d)
+    ref = _refined(lambda r: np.linalg.solve(dense, r), a, b, c, d,
+                   periodic=True)
     x = _solved(a, b, c, d, periodic=True)
     assert np.max(np.abs(x - ref)) <= _tolerance(a, b, c, d)

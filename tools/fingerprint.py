@@ -16,8 +16,11 @@ primitive upwind flux; `params.n_reg = 8` and `params.alpha = 0.7`
 variants; and the forced manufactured-solution runs of acceptance
 criterion 4.  A case whose config is rejected records its error text.
 Besides the runs: the rows of a theo1 `refinement_study` (160, 320, 640
-cells) and `n_sequence_study` (n = 8, 16, inf), and the bytes of the three
-files `run_scenario` writes for a primitive theo1 and an effective hoff run.
+cells) and `n_sequence_study` (n = 8, 16, inf), and the three files
+`run_scenario` writes for a primitive theo1 and an effective hoff run:
+`diagnostics.csv` and `summary.json` by their bytes, `snapshots.json` by
+its parsed values (its structure, and each number as float64 bytes), so
+that a change of number spelling alone compares equal.
 """
 from __future__ import annotations
 
@@ -42,6 +45,29 @@ def _digest(*parts) -> str:
     for part in parts:
         h.update(part if isinstance(part, bytes) else repr(part).encode())
     return h.hexdigest()
+
+
+def _json_values(node):
+    """The structure of a parsed JSON document, and each number in it as
+    float64 bytes, in document order."""
+    if isinstance(node, dict):
+        yield "{", len(node)
+        for key, value in node.items():
+            yield key
+            yield from _json_values(value)
+    elif isinstance(node, list):
+        yield "[", len(node)
+        for value in node:
+            yield from _json_values(value)
+    else:
+        yield np.float64(node).tobytes()
+
+
+def _artifact(path: Path) -> str:
+    if path.name == "snapshots.json":
+        with open(path) as fh:
+            return _digest(*_json_values(json.load(fh)))
+    return _digest(path.read_bytes())
 
 
 def _trajectory(traj, verdicts) -> dict:
@@ -109,7 +135,7 @@ def fingerprint() -> dict:
         cfg = harness.config_from_mapping({**BASE, **raw})
         with tempfile.TemporaryDirectory() as tmp:
             code = harness.run_scenario(cfg, tmp)
-            out[label] = {name: _digest((Path(tmp) / name).read_bytes())
+            out[label] = {name: _artifact(Path(tmp) / name)
                           for name in ARTIFACTS}
         out[label]["exit_code"] = _digest(code)
     # acceptance criterion 4: forced periodic runs to t = 0.05
