@@ -1,25 +1,29 @@
 """Conservative finite-volume time stepping for both formulations.
 
-Both steppers are IMEX: the transport is explicit and the parabolic term
-implicit, one tridiagonal cyclic-reduction solve per pass, so the step is
-limited by the advective CFL bound alone.
+Both steppers are IMEX: the transport by the flow velocity u and the
+pressure are explicit, and the parabolic term implicit, as is the drift of
+rho by v on an effective run, one tridiagonal cyclic-reduction solve per
+pass, so the step is limited by the advective CFL bound |u| + c alone.
 Primitive: an IMEX-SSP2(2,2,2) step (Pareschi & Russo 2005).  The mass and
 momentum fluxes (MUSCL-reconstructed Rusanov or upwind interface states)
 are explicit Heun stages; the viscous term (mu_n(rho) u_x)_x, a centered
 flux with harmonic face viscosity, is solved for u with rho frozen at the
 stage density, which makes it linear, so one solve per stage is exact.
 Effective: an IMEX ARS(2,2,2) step (Ascher, Ruuth & Spiteri 1997).  The
-upwinded drift of rho, the convection of w and the pressure relaxation are
-explicit; the nonlinear density diffusion (mu_n(rho)/rho rho_x)_x is
-linearly implicit, solved twice per stage with the coefficients frozen at
-the predictor and then at the first solution.
+convection of w by u and the pressure relaxation are explicit; the drift
+of rho by v = w/rho and the nonlinear density diffusion
+(mu_n(rho)/rho rho_x)_x are linearly implicit, with w held at the stage
+value, in one exponentially fitted (Scharfetter-Gummel) face flux, solved
+twice per stage with the face weights frozen at the predictor and then at
+the first solution.
 
 Both steppers are one frame: pad the state (`_pad2`), reconstruct the faces
 (`_faces`), upwind or Rusanov face fluxes (`_upwind`), harmonic face means
 of the viscosity or diffusivity (`_harmonic_mean`), the implicit solve for
-an increment (`_solve_increment`) and its face flux (`_gradient_flux`), the
-conservative update (`_update`), sources (`_add_source`) and the vacuum
-floor (`_check_floor`).
+an increment (`_solve_increment`) and its face flux (`_gradient_flux`, or
+`_face_flux` with the fitted weights of `_fitted_faces`), the conservative
+update (`_update`), sources (`_add_source`) and the vacuum floor
+(`_check_floor`).
 The cell velocities v = w/rho and u = v - d_x phi(rho) of an effective
 state have one definition (`_velocities`), shared by `cfl_dt` and the
 explicit stage.
@@ -27,6 +31,7 @@ explicit stage.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -112,19 +117,20 @@ class Workspace:
 
     `rho` and `mom` hold the state padded by two ghost cells per side (the
     MUSCL stencil, and `cfl_dt`'s velocities of an effective state); `tmp`
-    is scratch for slopes, faces, fluxes, the implicit solves, `cfl_dt`
-    and the per-step BD rate, and holds the step's two accumulators (the
-    weighted mass flux, and the weighted momentum flux of a primitive step
-    or rate of w of an effective one); `spare` receives the next state,
-    and `run` hands the replaced state's arrays back as the new spare once
-    the step is accepted (a primitive step also uses the pair as solver
-    scratch until it writes the new state).  Primitive steps use 9 scratch
-    arrays and effective steps 10, so a workspace holds 13 or 14
-    cell-sized arrays.  They are allocated as two blocks, the spare pair
-    apart, so that the state last swapped in does not keep the scratch
-    alive.  A workspace is private to one run.  `cfl_dt` notes in
-    `stiffness` the ratio of its advective step to the explicit diffusive
-    limit 0.5 * dx**2 * min(rho / mu_n(rho)) (the same for the primitive
+    is scratch for slopes, faces, fluxes, the implicit solves (an effective
+    step's fitted face weights included), `cfl_dt` and the per-step BD
+    rate, and holds the step's accumulators (the weighted mass flux, and
+    the weighted momentum flux of a primitive step); `spare` receives the
+    next state, and `run` hands the replaced state's arrays back as the new
+    spare once the step is accepted (a primitive step also uses the pair as
+    solver scratch until it writes the new state, and an effective step
+    accumulates the new w in it).  Primitive steps use 9 scratch arrays and
+    effective steps 10, so a workspace holds 13 or 14 cell-sized arrays.
+    They are allocated as two blocks, the spare pair apart, so that the
+    state last swapped in does not keep the scratch alive.  A workspace is
+    private to one run.  `cfl_dt` notes in `stiffness` the ratio of its
+    advective step to the explicit diffusive limit
+    0.5 * dx**2 * min(rho / mu_n(rho)) (the same for the primitive
     viscosity and the effective diffusivity mu_n(rho)/rho): the factor by
     which the implicit solves lengthen the step.
     """
@@ -141,10 +147,12 @@ class Workspace:
 
 def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
            cfg: SchemeConfig, ws: Optional[Workspace] = None) -> float:
-    """Stable step: safety * dx / max(|speed| + c).  Both steppers treat
-    the viscous or diffusive term implicitly, so the step is advective.
-    The speed is |u| on a primitive run and max(|v|, |u|) on an effective
-    one.  Notes the step's stiffness in `ws.stiffness`."""
+    """Stable step: safety * dx / max(|u| + c), the advective bound of the
+    one explicit transport, at the flow velocity u, of both formulations
+    (u = m/rho, or u = w/rho - d_x phi(rho) on an effective run).  The
+    viscous or diffusive term is implicit, and so is the effective drift
+    of rho by v = w/rho, so neither v nor dx**2 bounds the step.  Notes the
+    step's stiffness in `ws.stiffness`."""
     effective = cfg.formulation == "effective"
     if ws is None:
         ws = Workspace(g.cells, cfg.formulation)
@@ -158,10 +166,10 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
         raise VacuumError("cfl_dt requires positive density")
     t0, t1, t2 = ws.tmp[:3]
     if effective:
-        # the drift carries v while convection carries u = v - d_x phi(rho)
-        v, u = _velocities(*_pad2(rho, mom, p, cfg, ws), g, p, t0, t1, t2)
-        speed = np.abs(v[2:-2], out=t2[:n])
-        np.maximum(speed, np.abs(u[1:-1], out=u[1:-1]), out=speed)
+        # only w is explicit, and convection carries it by u = v - d_x
+        # phi(rho); the drift by v is implicit
+        _, u = _velocities(*_pad2(rho, mom, p, cfg, ws), g, p, t0, t1, t2)
+        speed = np.abs(u[1:-1], out=t2[:n])
     else:
         speed = np.abs(np.divide(mom, rho, out=t0[:n]), out=t1[:n])
     speed += sound_speed(rho, p, out=t0[:n])
@@ -323,25 +331,34 @@ def _gradient_flux(q, face, scale: float, out):
     return grad
 
 
-def _solve_increment(q, face, mass, s: float, cfg: SchemeConfig, x,
-                     lower, diag, upper, work):
-    # the increment y with (mass - s L)(q + y) = mass q, that is
-    # (mass - s L) y = s L q, written into x (one value per cell) and
-    # returned.  L q = face_{i+1/2} (q_{i+1} - q_i) - face_{i-1/2} (q_i -
-    # q_{i-1}) on the width-1 padded q is zero for a constant q, so a
-    # uniform state stays exactly uniform; with mass > 0 the matrix is an
-    # M-matrix.  mass is a number or a cell array; lower, diag, upper and the
-    # three work rows are scratch, and diag may hold q (the right-hand side
-    # is formed first); work[0] takes the cells+1 face values
+def _face_flux(q, left, right, out, scratch):
+    # left_{i+1/2} q_i - right_{i+1/2} q_{i+1} on the faces of a padded q,
+    # into out
+    nf = len(q) - 1
+    f = np.multiply(left, q[:-1], out=out[:nf])
+    f -= np.multiply(right, q[1:], out=scratch[:nf])
+    return f
+
+
+def _solve_increment(flux, left, right, mass, s: float, cfg: SchemeConfig,
+                     x, lower, diag, upper, work):
+    # the increment y with (mass + s M)(q + y) = mass q, that is
+    # (mass + s M) y = -s M q, written into x (one value per cell) and
+    # returned.  M q = G_{i+1/2} - G_{i-1/2} for the face flux G = left q_i -
+    # right q_{i+1} of a width-1 padded q, passed in as flux (cells+1
+    # values); with left, right >= 0 and mass > 0 the matrix is an M-matrix.
+    # A constant G gives a zero increment.  mass is a number or a cell
+    # array; lower, diag, upper and work are scratch, and diag may hold q
     n = len(x)
-    grad = np.subtract(q[1:], q[:-1], out=work[0][:n + 1])
-    grad *= face
-    np.subtract(grad[1:], grad[:-1], out=x)
+    np.subtract(flux[:-1], flux[1:], out=x)
     x *= s
-    np.multiply(face[:-1], -s, out=lower[:n])
-    np.multiply(face[1:], -s, out=upper[:n])
-    np.subtract(mass, lower[:n], out=diag[:n])
-    np.subtract(diag[:n], upper[:n], out=diag[:n])
+    # the diagonal mass + s right_{i-1/2} + s left_{i+1/2}, each term
+    # passing through upper
+    np.subtract(mass, np.multiply(right[:-1], -s, out=upper[:n]),
+                out=diag[:n])
+    diag[:n] -= np.multiply(left[1:], -s, out=upper[:n])
+    np.multiply(left[:-1], -s, out=lower[:n])
+    np.multiply(right[1:], -s, out=upper[:n])
     return solve_tridiagonal(lower[:n], diag[:n], upper[:n], x,
                              periodic=cfg.bc == "periodic", work=work)
 
@@ -359,8 +376,9 @@ def _implicit_viscosity(rho, m, k: float, g: Grid1D, p: Params,
     mu_c = viscosity(rho[1:-1], p, out=t[1][:n + 2], scratch=t[2][:n + 2])
     mu_face = _harmonic_mean(mu_c, t[0], t[2])
     u = np.divide(m[1:-1], rho[1:-1], out=t[1][:n + 2])
-    x = _solve_increment(u, mu_face, rho[2:-2], k / g.dx ** 2, cfg,
-                         t[2][:n], t[3], t[1], t[4], (t[5], *ws.spare))
+    flux = _gradient_flux(u, mu_face, -1.0, t[5][:n + 1])
+    x = _solve_increment(flux, mu_face, mu_face, rho[2:-2], k / g.dx ** 2,
+                         cfg, t[2][:n], t[3], t[1], t[4], (t[5], *ws.spare))
     m[2:-2] += np.multiply(rho[2:-2], x, out=x)
     fill_ghosts(m, 2, cfg.bc, 0.0)
     u = np.divide(m[1:-1], rho[1:-1], out=t[1][:n + 2])
@@ -504,29 +522,20 @@ def _cyclic_reduction(a, b, c, rhs, fac, prod):
 
 
 def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,
-               ws: Workspace, flux, rate):
-    # explicit part at a width-2 padded stage state: the drift mass flux on
-    # the cells+1 faces into flux and dw/dt (upwind convection by u plus the
-    # pressure relaxation -kappa*(w - rho*u)) into rate; scratch tmp[0..5]
-    dx = g.dx
+               ws: Workspace, rate):
+    # explicit part at a width-2 padded stage state: dw/dt (upwind
+    # convection by u plus the pressure relaxation -kappa*(w - rho*u)) into
+    # rate; scratch tmp[0..5]
     n = g.cells
     nf = n + 1  # faces
     t = ws.tmp
-    v, u_ext = _velocities(rho, w, g, p, t[0], t[5], t[1])
-
-    # density: drift by v, upwind on reconstructed rho
-    rhoL, rhoR = _faces(rho, cfg.limiter, t[3], t[4], t[1], t[2], ws.mask)
-    vbar = np.add(v[1:-2], v[2:-1], out=t[1][:nf])
-    vbar *= 0.5
-    _upwind(vbar, rhoL, rhoR, flux[:nf], ws.mask)
-
-    # effective momentum: convection by u, upwind on reconstructed w
+    _, u_ext = _velocities(rho, w, g, p, t[0], t[5], t[1])
     wL, wR = _faces(w, cfg.limiter, t[3], t[4], t[0], t[1], ws.mask)
     ubar = np.add(u_ext[:-1], u_ext[1:], out=t[0][:nf])
     ubar *= 0.5
     f_w = _upwind(ubar, wL, wR, t[1][:nf], ws.mask)
     dwdt = np.subtract(f_w[:-1], f_w[1:], out=rate[:n])
-    dwdt /= dx
+    dwdt /= g.dx
     rho_in, u_in = rho[2:-2], u_ext[1:-1]
     gap = np.multiply(rho_in, u_in, out=t[0][:n])
     np.subtract(w[2:-2], gap, out=gap)
@@ -542,37 +551,87 @@ def _relaxation_rate(rho, p: Params, out, s1, s2):
     return kappa
 
 
-def _implicit_diffusion(rho, k: float, g: Grid1D, p: Params,
+# expm1 overflows beyond this argument
+_EXPM1_MAX = math.log(sys.float_info.max)
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _bernoulli(x, out, scratch, mask):
+    # B(x) = x/expm1(x) for x >= 0, written into out; x is overwritten.
+    # B is 1 at x = 0 (taken at the smallest subnormal, where it is exactly
+    # 1) and 0 where expm1 overflows, with no floating-point exception
+    np.maximum(x, _TINY, out=x)
+    scratch.fill(np.inf)
+    np.expm1(x, out=scratch, where=np.less_equal(x, _EXPM1_MAX, out=mask))
+    np.minimum(x, _EXPM1_MAX, out=x)
+    return np.divide(x, scratch, out=out)
+
+
+def _fitted_faces(q, w, dx: float, p: Params, left, right, s1, s2, s3,
+                  mask):
+    # the Scharfetter-Gummel face weights of the drift by v = w/q plus the
+    # diffusion (D q_x)_x, D = mu_n(q)/q, on the faces of the width-1
+    # padded q and w: left = D B(-P) and right = D B(P), with D the harmonic
+    # face mean, vbar the arithmetic face mean of v and the cell Peclet
+    # number P = vbar dx / D.  They are evaluated as D B(|P|) plus dx times
+    # the positive part of vbar or of -vbar (B(-x) = x + B(x)), so both are
+    # nonnegative at any P.  s1, s2, s3 and mask are scratch
+    nf = len(q) - 1
+    dcoef = viscosity(q, p, out=s1[:nf + 1], scratch=s2[:nf + 1])
+    dcoef /= q
+    d_face = _harmonic_mean(dcoef, s3, s2)
+    v = np.divide(w, q, out=s1[:nf + 1])
+    vbar = np.add(v[:-1], v[1:], out=s2[:nf])
+    vbar *= 0.5
+    peclet = np.abs(vbar, out=s1[:nf])
+    peclet *= dx
+    peclet /= d_face
+    fitted = _bernoulli(peclet, right[:nf], left[:nf], mask[:nf])
+    fitted *= d_face
+    np.maximum(vbar, 0.0, out=left[:nf])
+    left[:nf] *= dx
+    left[:nf] += fitted
+    np.minimum(vbar, 0.0, out=vbar)
+    vbar *= dx
+    fitted -= vbar
+    return left[:nf], fitted
+
+
+def _implicit_diffusion(rho, w, k: float, g: Grid1D, p: Params,
                         cfg: SchemeConfig, ws: Workspace, flux, weight):
-    # solve rho* = rho + k (D(rho*) rho*_x)_x for the width-2 padded
-    # predictor rho, in place, and add weight times the solved diffusion
-    # flux -D_face (rho*_{i+1} - rho*_i)/dx to flux.  Each of two passes
-    # freezes D at the latest density (the predictor, then the first pass's
-    # solution, which keeps the step second order) and solves for the
-    # increment: I - k L is an M-matrix, so rho* stays positive.  Scratch
-    # tmp[0..7]
+    # solve rho* = rho + k L(rho*) for the width-2 padded predictor rho, in
+    # place, with the width-2 padded w held at the stage value, and add
+    # weight times the solved face flux F(rho*) to flux.  L q = -(F_{i+1/2}
+    # - F_{i-1/2})/dx with F = (left q_i - right q_{i+1})/dx is the drift by
+    # v = w/q plus the density diffusion, in the exponentially fitted form
+    # of `_fitted_faces`.  Each of two passes freezes the face weights at
+    # the latest density (the predictor, then the first pass's solution,
+    # which keeps the step second order) and solves for the increment:
+    # I - k L has nonpositive off-diagonals and unit column sums at any
+    # cell Peclet number, so rho* stays positive.  Scratch tmp[0..8]
     n = g.cells
     nf = n + 1
     t = ws.tmp
-    d_face, lower, diag, upper, x = t[0][:nf], t[1], t[2], t[3], t[4][:n]
+    left, right, lower, diag, upper = t[0], t[1], t[2], t[3], t[4]
+    x, work = t[5][:n], t[6:9]
     s = k / g.dx ** 2
-    q = rho[1:-1]  # one ghost per side
+    q = padded = rho[1:-1]  # one ghost per side
     for frozen_at_solution in (False, True):
         if frozen_at_solution:
             # the first pass's density, padded like rho
-            q = t[1][:n + 2]
+            q = lower[:n + 2]
             np.add(rho[2:-2], x, out=q[1:-1])
             fill_ghosts(q, 1, cfg.bc, p.rho_bar)
-        # the harmonic face mean of mu_n(q)/q
-        dcoef = viscosity(q, p, out=t[2][:nf + 1], scratch=t[3][:nf + 1])
-        dcoef /= q
-        _harmonic_mean(dcoef, d_face, t[3])
-        _solve_increment(rho[1:-1], d_face, 1.0, s, cfg, x, lower, diag,
-                         upper, t[5:8])
+        a, b = _fitted_faces(q, w[1:-1], g.dx, p, left, right, diag, upper,
+                             work[0], ws.mask)
+        f = _face_flux(padded, a, b, work[0], t[5])
+        _solve_increment(f, a, b, 1.0, s, cfg, x, lower, diag, upper, work)
     rho_in = rho[2:-2]
     rho_in += x
     fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
-    flux += _gradient_flux(rho[1:-1], d_face, -weight / g.dx, t[5][:nf])
+    f = _face_flux(padded, a, b, t[6], t[7])
+    f *= weight / g.dx
+    flux += f
 
 
 def _check_floor(rho, cfg: SchemeConfig, p: Params, t: float):
@@ -583,54 +642,48 @@ def _check_floor(rho, cfg: SchemeConfig, p: Params, t: float):
 def step_effective(e: EffectiveState, dt: float, g: Grid1D, p: Params,
                    cfg: SchemeConfig, source: Source = None,
                    ws: Optional[Workspace] = None):
-    """One IMEX ARS(2,2,2) update of (rho, w = rho*v): the drift of rho,
-    the convection of w and the pressure relaxation explicit, sources at
-    the stage times, the density diffusion linearly implicit.  The new
-    density is rebuilt in flux form from the stage fluxes, so the returned
-    boundary mass fluxes (left, right) are the step-weighted ones, implicit
-    diffusion included.  The new EffectiveState is held in the workspace's
-    spare arrays."""
+    """One IMEX ARS(2,2,2) update of (rho, w = rho*v): the convection of w
+    and the pressure relaxation explicit, sources at the stage times; the
+    drift and the diffusion of rho linearly implicit, with w held at the
+    stage value, so rho has no explicit part but its source.  The new
+    density is rebuilt in flux form from the implicit stage fluxes, so the
+    returned boundary mass fluxes (left, right) are the step-weighted ones.
+    The new EffectiveState is held in the workspace's spare arrays."""
     if ws is None:
         ws = Workspace(g.cells, "effective")
     dx = g.dx
-    nf = g.cells + 1
     t = ws.tmp
-    flux, rate = t[8][:nf], t[9][:g.cells]  # the step's weighted sums
+    flux, rate = t[9][:g.cells + 1], t[6][:g.cells]
     rho_new, w_new = ws.spare
     k = GAMMA * dt
     rho, w = _pad2(e.rho, e.w, p, cfg, ws)
 
-    # stage 1 (explicit, at the old state) and the stage-2 predictor
-    _transport(rho, w, g, p, cfg, ws, flux, rate)
+    # stage 1 (explicit, at the old state), the stage-2 predictor (rho^n
+    # plus its source), and w's first term in the last stage
+    _transport(rho, w, g, p, cfg, ws, rate)
     if source is not None:
         s1_rho, s1_w = source(g.centers(), e.t)
         rate += s1_w
-    _update(e.rho, flux, k, dx, rho[2:-2])
+        _add_source(rho[2:-2], s1_rho, k, t[0])
+        _check_floor(rho[2:-2], cfg, p, e.t)
+        fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
     w_in = np.multiply(rate, k, out=w[2:-2])
     w_in += e.w
-    if source is not None:
-        _add_source(rho[2:-2], s1_rho, k, t[0])
-    flux *= DELTA
-    rate *= DELTA
-    _check_floor(rho[2:-2], cfg, p, e.t)
-    fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
     fill_ghosts(w, 2, cfg.bc, 0.0)
+    np.multiply(rate, DELTA * dt, out=w_new)
+    w_new += e.w
 
-    # stage 2: implicit diffusion, then the explicit part at the stage
-    _implicit_diffusion(rho, k, g, p, cfg, ws, flux, 1.0 - GAMMA)
-    f2, r2 = t[6][:nf], t[7][:g.cells]
-    _transport(rho, w, g, p, cfg, ws, f2, r2)
+    # stage 2: implicit drift and diffusion, then the explicit part there
+    flux.fill(0.0)
+    _implicit_diffusion(rho, w, k, g, p, cfg, ws, flux, 1.0 - GAMMA)
+    _transport(rho, w, g, p, cfg, ws, rate)
     if source is not None:
         s2_rho, s2_w = source(g.centers(), e.t + k)
-        r2 += s2_w
-    f2 *= 1.0 - DELTA
-    flux += f2
-    r2 *= 1.0 - DELTA
-    rate += r2
+        rate += s2_w
+    rate *= (1.0 - DELTA) * dt
+    w_new += rate
 
-    # stage 3: predictor, implicit diffusion; w is explicit throughout
-    np.multiply(rate, dt, out=w_new)
-    w_new += e.w
+    # stage 3: predictor, implicit drift and diffusion at the new w
     _update(e.rho, flux, dt, dx, rho[2:-2])
     if source is not None:
         src_rho = np.multiply(s1_rho, DELTA)
@@ -638,7 +691,9 @@ def step_effective(e: EffectiveState, dt: float, g: Grid1D, p: Params,
         _add_source(rho[2:-2], src_rho, dt, t[0])
     _check_floor(rho[2:-2], cfg, p, e.t)
     fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
-    _implicit_diffusion(rho, k, g, p, cfg, ws, flux, GAMMA)
+    w[2:-2] = w_new
+    fill_ghosts(w, 2, cfg.bc, 0.0)
+    _implicit_diffusion(rho, w, k, g, p, cfg, ws, flux, GAMMA)
 
     # the new density in flux form from the weighted stage fluxes
     _update(e.rho, flux, dt, dx, rho_new)

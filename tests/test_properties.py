@@ -1,10 +1,13 @@
 """Property tests of the discrete identities on random positive densities
 under both boundary rules: the effective-momentum transform and its inverse,
 w - m = grad phi1(rho), the exact mass balance of one step (also of a stiff
-implicit one), the BD entropy over effective steps from rough data, and the
-cyclic-reduction solve against refined scipy and dense solves."""
+implicit one), the implicit drift and diffusion of the effective step at
+large cell Peclet numbers, the BD entropy over effective steps from rough
+data, and the cyclic-reduction solve against refined scipy and dense
+solves."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from nsvisc1d import (EffectiveState, Grid1D, Params, State,
                       centered_gradient, diagnostics, from_effective, phi1,
-                      to_effective)
+                      solver, to_effective, viscosity)
 from nsvisc1d.solver import SchemeConfig, cfl_dt, solve_tridiagonal, \
     step_effective, step_primitive
 
@@ -82,6 +85,75 @@ def test_stiff_effective_step_keeps_mass(cells, bc, alpha, data):
     defect = abs(float(np.sum(new.rho)) * g.dx - mass_old
                  - (f_left - f_right) * dt)
     assert defect <= 1e-14 * mass_old
+
+
+@st.composite
+def drift_dominated(draw):
+    """(rho, w, Grid1D, Params, bc, k): densities in [0.2, 5] on 4-64 cells
+    and w = rho v with v in [-1, 1], one cell at +-1, times a scale that
+    takes max|v| dx / max(D), D = mu_n(rho)/rho, to [2, 1e4], a bound below
+    the largest cell Peclet number; k is the implicit step gamma*dt at a
+    drift Courant number k max|v| / dx in [0.1, 100]."""
+    cells = draw(st.integers(4, 64))
+    rho = draw(hnp.arrays(float, cells, elements=st.floats(0.2, 5.0)))
+    v = draw(hnp.arrays(float, cells, elements=st.floats(-1.0, 1.0)))
+    g = Grid1D(0.0, draw(st.sampled_from([1.0, 7.5])), cells)
+    p = Params(alpha=draw(st.sampled_from([0.0, 0.5, 1.0])),
+               n_reg=draw(st.sampled_from([math.inf, 8.0])))
+    bc = draw(st.sampled_from(["farfield", "periodic"]))
+    v[draw(st.integers(0, cells - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    diffusivity = float(np.max(viscosity(rho, p) / rho))
+    v *= draw(st.floats(2.0, 1e4)) * diffusivity / g.dx
+    k = draw(st.floats(0.1, 100.0)) * g.dx / float(np.max(np.abs(v)))
+    return rho, rho * v, g, p, bc, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(drift_dominated())
+def test_implicit_drift_keeps_positivity_mass_and_m_matrix(case):
+    # one implicit drift-diffusion solve from a positive predictor: the new
+    # density is positive, its mass changes by the boundary fluxes alone,
+    # and both passes solve a matrix with nonpositive off-diagonals and
+    # unit column sums (at least 1 in a farfield boundary cell's column)
+    rho, w, g, p, bc, k = case
+    cfg = SchemeConfig(formulation="effective", bc=bc)
+    ws = solver.Workspace(g.cells, "effective")
+    padded, padded_w = solver._pad2(rho, w, p, cfg, ws)
+    flux = np.zeros(g.cells + 1)
+    matrices = []
+    solve = solver.solve_tridiagonal
+
+    def keep(a, b, c, d, periodic=False, work=None):
+        matrices.append((a.copy(), b.copy(), c.copy()))
+        return solve(a, b, c, d, periodic=periodic, work=work)
+
+    with mock.patch.object(solver, "solve_tridiagonal", keep):
+        solver._implicit_diffusion(padded, padded_w, k, g, p, cfg, ws, flux,
+                                   1.0)
+    new = padded[2:-2]
+    assert np.all(new > 0)
+    assert len(matrices) == 2
+    # the solve's residual, summed, is the defect: a few rounding errors of
+    # the largest diagonal entry per unit of mass
+    eps = np.finfo(float).eps
+    mass = float(np.sum(rho)) * g.dx
+    defect = float(np.sum(new)) * g.dx - mass + k * (flux[-1] - flux[0])
+    assert abs(defect) <= 16 * eps * np.max(matrices[-1][1]) * mass
+    for a, b, c in matrices:
+        # a[i] multiplies x[i-1] and c[i] x[i+1], cyclically when periodic
+        columns = b.copy()
+        columns[1:] += c[:-1]
+        columns[:-1] += a[1:]
+        tol = 8 * eps * np.max(b)
+        if bc == "periodic":
+            assert a[0] <= 0 and c[-1] <= 0
+            columns[0] += c[-1]
+            columns[-1] += a[0]
+            np.testing.assert_allclose(columns, 1.0, rtol=0, atol=tol)
+        else:
+            np.testing.assert_allclose(columns[1:-1], 1.0, rtol=0, atol=tol)
+            assert min(columns[0], columns[-1]) >= 1.0 - tol
+        assert np.all(a[1:] <= 0) and np.all(c[:-1] <= 0)
 
 
 @st.composite

@@ -73,8 +73,8 @@ def test_cfl_dt_primitive_is_advective():
 
 
 def test_cfl_dt_effective_is_advective():
-    # the effective stepper's diffusion is implicit: at rest dt ~ dx, set by
-    # the sound speed alone
+    # the effective stepper's drift and diffusion are implicit: at rest
+    # dt ~ dx, set by the sound speed alone
     p = Params()
     cfg = SchemeConfig(formulation="effective")
     dts = []
@@ -85,6 +85,52 @@ def test_cfl_dt_effective_is_advective():
     assert dts[0] / dts[1] == pytest.approx(2.0, rel=1e-12)
     c = math.sqrt(p.a * p.gamma)
     assert dts[0] == pytest.approx(0.4 * small_grid(320).dx / c, rel=1e-12)
+
+
+def test_cfl_dt_effective_speed_is_u_not_v():
+    # a density jump puts a spike of d_x phi(rho) into v = w/rho, far above
+    # |u| + c; only the explicit convection by u bounds the step
+    g = Grid1D(0.0, 1.0, 256)
+    p = Params(alpha=0.0)
+    cfg = SchemeConfig(formulation="effective", bc="periodic")
+    x = g.centers()
+    rho = np.where(np.abs(x - 0.5) < 0.2, 2.5, 1.0)
+    ext = core.pad_field(rho, 1, "periodic")
+    dphi = core.centered_difference(core.phi(ext, p), g)
+    w = rho * (0.1 * np.sin(2 * np.pi * x) + dphi)
+    u = w / rho - dphi
+    speed = np.abs(u) + core.sound_speed(rho, p)
+    assert np.max(np.abs(w / rho)) > 10 * np.max(speed)
+    assert cfl_dt(EffectiveState(rho, w), g, p, cfg) == \
+        cfg.cfl_safety * (g.dx / np.max(speed))
+
+
+def test_bernoulli_edge_values_raise_nothing():
+    # B(x) = x/expm1(x): 1 at 0, 0 where expm1 overflows (inf included),
+    # the same as B(x) elsewhere, under an error state that raises
+    x = np.array([0.0, 1e-300, 1e-8, 1.0, 30.0, 700.0, 710.0, 1e300,
+                  np.inf])
+    with np.errstate(all="raise"):
+        b = solver._bernoulli(x.copy(), np.empty(9), np.empty(9),
+                              np.empty(9, dtype=bool))
+    assert b[0] == b[1] == 1.0
+    np.testing.assert_allclose(b[2:6], x[2:6] / np.expm1(x[2:6]), rtol=1e-15)
+    assert not np.any(b[6:])
+
+
+@pytest.mark.parametrize("preset", ["hoff", "corbis"])
+def test_effective_steps_track_the_primitive_on_weak_coupling(preset):
+    # the drift by v is implicit, so on a density jump the effective step is
+    # advective like the primitive one rather than bound by the spike in v
+    steps = {}
+    for formulation in ("primitive", "effective"):
+        cfg = harness.preset_config(preset, **{
+            "grid.cells": "5120", "run.t_end": "0.05",
+            "scheme.formulation": formulation})
+        traj = harness.simulate(cfg)
+        assert traj.status == "completed"
+        steps[formulation] = traj.steps
+    assert steps["effective"] <= 1.5 * steps["primitive"]
 
 
 def test_cfl_dt_rejects_bad_states():
