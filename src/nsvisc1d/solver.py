@@ -1,29 +1,31 @@
 """Conservative finite-volume time stepping for both formulations.
 
-Both steppers are IMEX: the transport by the flow velocity u and the
-pressure are explicit, and the parabolic term implicit, as is the drift of
-rho by v on an effective run, one tridiagonal cyclic-reduction solve per
-pass, so the step is limited by the advective CFL bound |u| + c alone.
-Primitive: an IMEX-SSP2(2,2,2) step (Pareschi & Russo 2005).  The mass and
-momentum fluxes (MUSCL-reconstructed Rusanov or upwind interface states)
-are explicit Heun stages; the viscous term (mu_n(rho) u_x)_x, a centered
-flux with harmonic face viscosity, is solved for u with rho frozen at the
-stage density, which makes it linear, so one solve per stage is exact.
-Effective: an IMEX ARS(2,2,2) step (Ascher, Ruuth & Spiteri 1997).  The
-convection of w by u and the pressure relaxation are explicit; the drift
-of rho by v = w/rho and the nonlinear density diffusion
-(mu_n(rho)/rho rho_x)_x are linearly implicit, with w held at the stage
-value, in one exponentially fitted (Scharfetter-Gummel) face flux, solved
-twice per stage with the face weights frozen at the predictor and then at
-the first solution.
+Both steppers are one IMEX-SSP2(2,2,2) step (Pareschi & Russo 2005,
+`_imex_ssp2`) over a formulation's explicit and implicit parts: the
+transport by the flow velocity u and the pressure are explicit Heun
+stages, and the parabolic term implicit, as is the drift of rho by v on an
+effective run, one tridiagonal cyclic-reduction solve per pass, so the step
+is limited by the advective CFL bound |u| + c alone.
+Primitive: the mass and momentum fluxes (MUSCL-reconstructed Rusanov or
+upwind interface states, `_primitive_flux`) are explicit; the viscous term
+(mu_n(rho) u_x)_x, a centered flux with harmonic face viscosity, is solved
+for u with rho frozen at the stage density, which makes it linear, so one
+solve per stage is exact (`_implicit_viscosity`).
+Effective: the convection of w by u, a face flux, and the pressure
+relaxation, a cell rate, are explicit (`_transport`); the drift of rho by
+v = w/rho and the nonlinear density diffusion (mu_n(rho)/rho rho_x)_x are
+linearly implicit, with w held at the stage value, in one exponentially
+fitted (Scharfetter-Gummel) face flux, solved twice per stage with the
+face weights frozen at the stage's starting density and then at the first
+solution (`_implicit_diffusion`).
 
-Both steppers are one frame: pad the state (`_pad2`), reconstruct the faces
+The parts share one frame: pad the state (`_pad2`), reconstruct the faces
 (`_faces`), upwind or Rusanov face fluxes (`_upwind`), harmonic face means
 of the viscosity or diffusivity (`_harmonic_mean`), the implicit solve for
 an increment (`_solve_increment`) and its face flux (`_gradient_flux`, or
 `_face_flux` with the fitted weights of `_fitted_faces`), the conservative
-update (`_update`), sources (`_add_source`) and the vacuum floor
-(`_check_floor`).
+update (`_update`), sources and cell rates (`_add_source`) and the vacuum
+floor (`_check_floor`).
 The cell velocities v = w/rho and u = v - d_x phi(rho) of an effective
 state have one definition (`_velocities`), shared by `cfl_dt` and the
 explicit stage.
@@ -119,13 +121,13 @@ class Workspace:
     MUSCL stencil, and `cfl_dt`'s velocities of an effective state); `tmp`
     is scratch for slopes, faces, fluxes, the implicit solves (an effective
     step's fitted face weights included), `cfl_dt` and the per-step BD
-    rate, and holds the step's accumulators (the weighted mass flux, and
-    the weighted momentum flux of a primitive step); `spare` receives the
-    next state, and `run` hands the replaced state's arrays back as the new
-    spare once the step is accepted (a primitive step also uses the pair as
-    solver scratch until it writes the new state, and an effective step
-    accumulates the new w in it).  Primitive steps use 9 scratch arrays and
-    effective steps 10, so a workspace holds 13 or 14 cell-sized arrays.
+    rate, and holds the step's weighted face-flux sums and an effective
+    step's two relaxation rates; `spare` receives the next state, and `run`
+    hands the replaced state's arrays back as the new spare once the step
+    is accepted (a primitive step also uses the pair as solver scratch
+    until it writes the new state).  Primitive steps use 9 scratch arrays
+    and effective steps 12, so a workspace holds 13 or 16 cell-sized
+    arrays.
     They are allocated as two blocks, the spare pair apart, so that the
     state last swapped in does not keep the scratch alive.  A workspace is
     private to one run.  `cfl_dt` notes in `stiffness` the ratio of its
@@ -135,7 +137,7 @@ class Workspace:
     which the implicit solves lengthen the step.
     """
 
-    SCRATCH = {"primitive": 9, "effective": 10}
+    SCRATCH = {"primitive": 9, "effective": 12}
 
     def __init__(self, cells: int, formulation: str):
         padded = np.empty((2 + self.SCRATCH[formulation], cells + 4))
@@ -273,21 +275,19 @@ def _add_source(q: np.ndarray, rate: np.ndarray, dt: float, scratch):
     q += np.multiply(rate, dt, out=scratch[:len(q)])
 
 
-# GAMMA = 1 - 1/sqrt 2 is the implicit diagonal of both IMEX tableaux.
-# IMEX-SSP2(2,2,2) (primitive): explicit Heun with weights 1/2 and 1/2,
-# implicit weight 1 - 2 GAMMA on the first stage's rate in the second.
-# ARS(2,2,2) (effective): explicit weight DELTA on the first stage's rate in
-# the last stage.
+# GAMMA = 1 - 1/sqrt 2 is the implicit diagonal of IMEX-SSP2(2,2,2):
+# explicit Heun with weights 1/2 and 1/2, implicit weight 1 - 2 GAMMA on the
+# first stage's rate in the second, and 1/2 and 1/2 in the new state.
 GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
-DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
 
 
-def _primitive_flux(rho, m, p: Params, cfg: SchemeConfig, ws: Workspace,
-                    out_mass, out_mom):
+def _primitive_flux(rho, m, g: Grid1D, p: Params, cfg: SchemeConfig,
+                    ws: Workspace, out_mass, out_mom, rate):
     # explicit part at a width-2 padded stage (rho, m): the mass and the
     # momentum (convection plus pressure) face fluxes, Rusanov or upwind,
-    # on the cells+1 faces of the rows out_mass and out_mom; returns those
-    # views.  Scratch tmp[0..4]
+    # on the cells+1 faces of the rows out_mass and out_mom; returns the
+    # momentum flux and no cell rate (rate is not written).  Scratch
+    # tmp[0..4]
     nf = len(rho) - 3
     t = ws.tmp
     rhoL, rhoR = _faces(rho, cfg.limiter, t[0], t[1], t[2], t[3], ws.mask)
@@ -320,7 +320,7 @@ def _primitive_flux(rho, m, p: Params, cfg: SchemeConfig, ws: Workspace,
                       out=z)
         pbar *= 0.5
         f_mom += pbar
-    return f_mass, f_mom
+    return [f_mom], []
 
 
 def _gradient_flux(q, face, scale: float, out):
@@ -383,65 +383,6 @@ def _implicit_viscosity(rho, m, k: float, g: Grid1D, p: Params,
     fill_ghosts(m, 2, cfg.bc, 0.0)
     u = np.divide(m[1:-1], rho[1:-1], out=t[1][:n + 2])
     _gradient_flux(u, mu_face, -1.0 / g.dx, visc[:n + 1])
-
-
-def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
-                   cfg: SchemeConfig, source: Source = None,
-                   ws: Optional[Workspace] = None):
-    """One IMEX-SSP2(2,2,2) update of (rho, rho*u) (Pareschi & Russo 2005):
-    mass and momentum transport and sources explicit, at t and t + dt; the
-    viscous term (mu_n(rho) u_x)_x implicit, solved for u with rho frozen at
-    the stage density, which the explicit mass update fixes.  The new state
-    is rebuilt in flux form from the stage fluxes with weights 1/2 and 1/2,
-    so the returned boundary mass fluxes (left, right) are the step-weighted
-    ones.  The new State is held in the workspace's spare arrays."""
-    if ws is None:
-        ws = Workspace(g.cells, "primitive")
-    dx = g.dx
-    nf = g.cells + 1
-    t = ws.tmp
-    f_mass, f_mom = t[7][:nf], t[8][:nf]  # the step's weighted sums
-    k = GAMMA * dt
-    rho, m = _pad2(s.rho, s.m, p, cfg, ws)
-
-    # stage 1: implicit at the old density, then the explicit part there
-    _implicit_viscosity(rho, m, k, g, p, cfg, ws, f_mom)
-    _, g1 = _primitive_flux(rho, m, p, cfg, ws, t[7], t[5])
-
-    # stage 2: the explicit predictor, implicit at its density, then the
-    # explicit part there
-    pred = np.multiply(f_mom, 1.0 - 2.0 * GAMMA, out=t[6][:nf])
-    pred += g1
-    f_mom += g1
-    _update(s.rho, f_mass, dt, dx, rho[2:-2])
-    _update(s.m, pred, dt, dx, m[2:-2])
-    if source is not None:
-        s1_rho, s1_m = source(g.centers(), s.t)
-        _add_source(rho[2:-2], s1_rho, dt, t[6])
-        _add_source(m[2:-2], s1_m, dt, t[6])
-    _check_floor(rho[2:-2], cfg, p, s.t)
-    fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
-    fill_ghosts(m, 2, cfg.bc, 0.0)
-    _implicit_viscosity(rho, m, k, g, p, cfg, ws, t[6])
-    f_mom += t[6][:nf]
-    f2, g2 = _primitive_flux(rho, m, p, cfg, ws, t[6], t[5])
-    f_mass += f2
-    f_mass *= 0.5
-    f_mom += g2
-    f_mom *= 0.5
-
-    # the new state in flux form from the weighted stage fluxes
-    rho_new, m_new = ws.spare
-    _update(s.rho, f_mass, dt, dx, rho_new)
-    _update(s.m, f_mom, dt, dx, m_new)
-    if source is not None:
-        s2_rho, s2_m = source(g.centers(), s.t + dt)
-        for q, rates in ((rho_new, (s1_rho, s2_rho)), (m_new, (s1_m, s2_m))):
-            for rate in rates:
-                _add_source(q, rate, 0.5 * dt, t[0])
-    _check_floor(rho_new, cfg, p, s.t)
-    return State(rho_new, m_new, s.t + dt), (float(f_mass[0]),
-                                             float(f_mass[-1]))
 
 
 def solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -522,10 +463,12 @@ def _cyclic_reduction(a, b, c, rhs, fac, prod):
 
 
 def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,
-               ws: Workspace, rate):
-    # explicit part at a width-2 padded stage state: dw/dt (upwind
-    # convection by u plus the pressure relaxation -kappa*(w - rho*u)) into
-    # rate; scratch tmp[0..5]
+               ws: Workspace, out, own, rate):
+    # explicit part at a width-2 padded stage (rho, w): the upwind
+    # convection of w by u, a face flux on the cells+1 faces of out, and
+    # the pressure relaxation -kappa*(w - rho*u), a cell rate written into
+    # rate; returns no explicit flux of rho (own is not written) and the
+    # rate of w.  Scratch tmp[0..5]
     n = g.cells
     nf = n + 1  # faces
     t = ws.tmp
@@ -533,14 +476,12 @@ def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,
     wL, wR = _faces(w, cfg.limiter, t[3], t[4], t[0], t[1], ws.mask)
     ubar = np.add(u_ext[:-1], u_ext[1:], out=t[0][:nf])
     ubar *= 0.5
-    f_w = _upwind(ubar, wL, wR, t[1][:nf], ws.mask)
-    dwdt = np.subtract(f_w[:-1], f_w[1:], out=rate[:n])
-    dwdt /= g.dx
+    _upwind(ubar, wL, wR, out[:nf], ws.mask)
     rho_in, u_in = rho[2:-2], u_ext[1:-1]
-    gap = np.multiply(rho_in, u_in, out=t[0][:n])
-    np.subtract(w[2:-2], gap, out=gap)
-    gap *= _relaxation_rate(rho_in, p, t[2][:n], t[3][:n], t[4][:n])
-    dwdt -= gap
+    relax = np.multiply(rho_in, u_in, out=rate[:n])
+    relax -= w[2:-2]
+    relax *= _relaxation_rate(rho_in, p, t[2][:n], t[3][:n], t[4][:n])
+    return [], [(1, relax)]
 
 
 def _relaxation_rate(rho, p: Params, out, s1, s2):
@@ -598,10 +539,10 @@ def _fitted_faces(q, w, dx: float, p: Params, left, right, s1, s2, s3,
 
 
 def _implicit_diffusion(rho, w, k: float, g: Grid1D, p: Params,
-                        cfg: SchemeConfig, ws: Workspace, flux, weight):
+                        cfg: SchemeConfig, ws: Workspace, out):
     # solve rho* = rho + k L(rho*) for the width-2 padded predictor rho, in
-    # place, with the width-2 padded w held at the stage value, and add
-    # weight times the solved face flux F(rho*) to flux.  L q = -(F_{i+1/2}
+    # place, with the width-2 padded w held at the stage value, and write
+    # the solved face flux F(rho*) into out.  L q = -(F_{i+1/2}
     # - F_{i-1/2})/dx with F = (left q_i - right q_{i+1})/dx is the drift by
     # v = w/q plus the density diffusion, in the exponentially fitted form
     # of `_fitted_faces`.  Each of two passes freezes the face weights at
@@ -629,9 +570,8 @@ def _implicit_diffusion(rho, w, k: float, g: Grid1D, p: Params,
     rho_in = rho[2:-2]
     rho_in += x
     fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
-    f = _face_flux(padded, a, b, t[6], t[7])
-    f *= weight / g.dx
-    flux += f
+    f = _face_flux(padded, a, b, out, t[7])
+    f /= g.dx
 
 
 def _check_floor(rho, cfg: SchemeConfig, p: Params, t: float):
@@ -639,69 +579,106 @@ def _check_floor(rho, cfg: SchemeConfig, p: Params, t: float):
         raise VacuumError(f"density fell below the vacuum floor at t={t:g}")
 
 
+def _imex_ssp2(y: tuple, t0: float, dt: float, g: Grid1D, p: Params,
+               cfg: SchemeConfig, source: Source, ws: Workspace, j: int,
+               implicit: Callable, explicit: Callable):
+    # One IMEX-SSP2(2,2,2) step of the state y = (rho, q) at t0, whose
+    # component j alone has an implicit part; returns the new pair, held in
+    # the workspace's spare arrays, and the step-weighted boundary mass
+    # fluxes (left, right).  implicit(rho, q, k, g, p, cfg, ws, out) solves
+    # Y = Y* + k I(Y) for component j in place in the width-2 padded stage
+    # and writes the face flux of I into out.  explicit(rho, q, g, p, cfg,
+    # ws, out, own, rate) writes the other component's explicit face flux
+    # into out and returns two lists, each empty where the formulation has
+    # none: component j's explicit face flux, written into own, and
+    # (component, cell rate) pairs, the rate written into rate, which the
+    # step applies the way it applies a source.  Rows: the parts' scratch
+    # from tmp[0], the stage outputs tmp[5] and tmp[6] (also the
+    # predictor), the rates tmp[-4] and tmp[-3] (written only by a
+    # formulation that has one) and the weighted face-flux sums tmp[-2]
+    # and tmp[-1]
+    dx, nf = g.dx, g.cells + 1
+    o = 1 - j
+    t = ws.tmp
+    rows = t[-2:]
+    acc = [rows[0][:nf], rows[1][:nf]]
+    k = GAMMA * dt
+    z = _pad2(*y, p, cfg, ws)
+    inner = (z[0][2:-2], z[1][2:-2])
+
+    # stage 1: implicit at the old state, then the explicit part there
+    implicit(*z, k, g, p, cfg, ws, rows[j])
+    own, rates = explicit(*z, g, p, cfg, ws, rows[o], t[5], t[-3])
+    if source is not None:
+        rates += enumerate(source(g.centers(), t0))
+
+    # stage 2: the explicit predictor, implicit at its state, then the
+    # explicit part there
+    pred = np.multiply(acc[j], 1.0 - 2.0 * GAMMA, out=t[6][:nf])
+    for f in own:
+        pred += f
+        acc[j] += f
+    _update(y[j], pred, dt, dx, inner[j])
+    _update(y[o], acc[o], dt, dx, inner[o])
+    for c, r in rates:
+        _add_source(inner[c], r, dt, t[6])
+    _check_floor(inner[0], cfg, p, t0)
+    fill_ghosts(z[0], 2, cfg.bc, p.rho_bar)
+    fill_ghosts(z[1], 2, cfg.bc, 0.0)
+    implicit(*z, k, g, p, cfg, ws, t[6])
+    acc[j] += t[6][:nf]
+    own, more = explicit(*z, g, p, cfg, ws, t[6], t[5], t[-4])
+    acc[o] += t[6][:nf]
+    for f in own:
+        acc[j] += f
+    rates += more
+    if source is not None:
+        rates += enumerate(source(g.centers(), t0 + dt))
+
+    # the new state in flux form from the weighted stage fluxes and rates
+    new = ws.spare
+    for c in (0, 1):
+        acc[c] *= 0.5
+        _update(y[c], acc[c], dt, dx, new[c])
+    for c, r in rates:
+        _add_source(new[c], r, 0.5 * dt, t[0])
+    _check_floor(new[0], cfg, p, t0)
+    return new, (float(acc[0][0]), float(acc[0][-1]))
+
+
+def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
+                   cfg: SchemeConfig, source: Source = None,
+                   ws: Optional[Workspace] = None):
+    """One IMEX-SSP2(2,2,2) update of (rho, rho*u) (Pareschi & Russo 2005):
+    mass and momentum transport and sources explicit, at t and t + dt; the
+    viscous term (mu_n(rho) u_x)_x implicit, solved for u with rho frozen at
+    the stage density, which the explicit mass update fixes.  The new state
+    is rebuilt in flux form from the stage fluxes with weights 1/2 and 1/2,
+    so the returned boundary mass fluxes (left, right) are the step-weighted
+    ones.  The new State is held in the workspace's spare arrays."""
+    if ws is None:
+        ws = Workspace(g.cells, "primitive")
+    (rho, m), fluxes = _imex_ssp2((s.rho, s.m), s.t, dt, g, p, cfg, source,
+                                  ws, 1, _implicit_viscosity, _primitive_flux)
+    return State(rho, m, s.t + dt), fluxes
+
+
 def step_effective(e: EffectiveState, dt: float, g: Grid1D, p: Params,
                    cfg: SchemeConfig, source: Source = None,
                    ws: Optional[Workspace] = None):
-    """One IMEX ARS(2,2,2) update of (rho, w = rho*v): the convection of w
-    and the pressure relaxation explicit, sources at the stage times; the
-    drift and the diffusion of rho linearly implicit, with w held at the
-    stage value, so rho has no explicit part but its source.  The new
-    density is rebuilt in flux form from the implicit stage fluxes, so the
-    returned boundary mass fluxes (left, right) are the step-weighted ones.
-    The new EffectiveState is held in the workspace's spare arrays."""
+    """One IMEX-SSP2(2,2,2) update of (rho, w = rho*v): the convection of w
+    (a face flux), the pressure relaxation (a cell rate) and sources
+    explicit, at t and t + dt; the drift and the diffusion of rho linearly
+    implicit, with w held at the stage value, so rho has no explicit part
+    but its source.  The new state is rebuilt from the stage fluxes and
+    rates with weights 1/2 and 1/2, rho in flux form, so the returned
+    boundary mass fluxes (left, right) are the step-weighted ones.  The new
+    EffectiveState is held in the workspace's spare arrays."""
     if ws is None:
         ws = Workspace(g.cells, "effective")
-    dx = g.dx
-    t = ws.tmp
-    flux, rate = t[9][:g.cells + 1], t[6][:g.cells]
-    rho_new, w_new = ws.spare
-    k = GAMMA * dt
-    rho, w = _pad2(e.rho, e.w, p, cfg, ws)
-
-    # stage 1 (explicit, at the old state), the stage-2 predictor (rho^n
-    # plus its source), and w's first term in the last stage
-    _transport(rho, w, g, p, cfg, ws, rate)
-    if source is not None:
-        s1_rho, s1_w = source(g.centers(), e.t)
-        rate += s1_w
-        _add_source(rho[2:-2], s1_rho, k, t[0])
-        _check_floor(rho[2:-2], cfg, p, e.t)
-        fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
-    w_in = np.multiply(rate, k, out=w[2:-2])
-    w_in += e.w
-    fill_ghosts(w, 2, cfg.bc, 0.0)
-    np.multiply(rate, DELTA * dt, out=w_new)
-    w_new += e.w
-
-    # stage 2: implicit drift and diffusion, then the explicit part there
-    flux.fill(0.0)
-    _implicit_diffusion(rho, w, k, g, p, cfg, ws, flux, 1.0 - GAMMA)
-    _transport(rho, w, g, p, cfg, ws, rate)
-    if source is not None:
-        s2_rho, s2_w = source(g.centers(), e.t + k)
-        rate += s2_w
-    rate *= (1.0 - DELTA) * dt
-    w_new += rate
-
-    # stage 3: predictor, implicit drift and diffusion at the new w
-    _update(e.rho, flux, dt, dx, rho[2:-2])
-    if source is not None:
-        src_rho = np.multiply(s1_rho, DELTA)
-        src_rho += (1.0 - DELTA) * s2_rho
-        _add_source(rho[2:-2], src_rho, dt, t[0])
-    _check_floor(rho[2:-2], cfg, p, e.t)
-    fill_ghosts(rho, 2, cfg.bc, p.rho_bar)
-    w[2:-2] = w_new
-    fill_ghosts(w, 2, cfg.bc, 0.0)
-    _implicit_diffusion(rho, w, k, g, p, cfg, ws, flux, GAMMA)
-
-    # the new density in flux form from the weighted stage fluxes
-    _update(e.rho, flux, dt, dx, rho_new)
-    if source is not None:
-        _add_source(rho_new, src_rho, dt, t[0])
-    _check_floor(rho_new, cfg, p, e.t)
-    return (EffectiveState(rho_new, w_new, e.t + dt),
-            (float(flux[0]), float(flux[-1])))
+    (rho, w), fluxes = _imex_ssp2((e.rho, e.w), e.t, dt, g, p, cfg, source,
+                                  ws, 0, _implicit_diffusion, _transport)
+    return EffectiveState(rho, w, e.t + dt), fluxes
 
 
 def relax_effective_momentum(w: np.ndarray, rho: np.ndarray, u: np.ndarray,

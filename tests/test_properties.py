@@ -128,8 +128,7 @@ def test_implicit_drift_keeps_positivity_mass_and_m_matrix(case):
         return solve(a, b, c, d, periodic=periodic, work=work)
 
     with mock.patch.object(solver, "solve_tridiagonal", keep):
-        solver._implicit_diffusion(padded, padded_w, k, g, p, cfg, ws, flux,
-                                   1.0)
+        solver._implicit_diffusion(padded, padded_w, k, g, p, cfg, ws, flux)
     new = padded[2:-2]
     assert np.all(new > 0)
     assert len(matrices) == 2
