@@ -223,9 +223,13 @@ def build_scenario(spec: ScenarioSpec, g: Grid1D) -> BuiltScenario:
             "running anyway")
 
     if tau > 0:
-        mr = heat_mollify(rho0, tau, g)
+        # the kernel's renormalised weights need not sum to 1 exactly, so a
+        # density whose edges agree is mollified as its deviation from the
+        # edge value: the far field then stays exactly at that value
+        edge = rho0[0] if rho0[0] == rho0[-1] else 0.0
+        mr = heat_mollify(rho0 - edge, tau, g)
         mm = heat_mollify(m0, tau, g)
-        rho0, m0 = mr.values, mm.values
+        rho0, m0 = mr.values + edge, mm.values
         if mr.support_clipped or mm.support_clipped:
             warnings.append("mollification kernel support exceeds the domain")
 

@@ -28,7 +28,8 @@ update (`_update`), sources and cell rates (`_add_source`) and the vacuum
 floor (`_check_floor`).
 The cell velocities v = w/rho and u = v - d_x phi(rho) of an effective
 state have one definition (`_velocities`), shared by `cfl_dt` and the
-explicit stage.
+explicit stage.  `run` hands the steppers only the window of cells that are
+not at far-field rest, plus the reach of a step (`_window`).
 """
 from __future__ import annotations
 
@@ -129,22 +130,45 @@ class Workspace:
     and effective steps 12, so a workspace holds 13 or 16 cell-sized
     arrays.
     They are allocated as two blocks, the spare pair apart, so that the
-    state last swapped in does not keep the scratch alive.  A workspace is
-    private to one run.  `cfl_dt` notes in `stiffness` the ratio of its
-    advective step to the explicit diffusive limit
-    0.5 * dx**2 * min(rho / mu_n(rho)) (the same for the primitive
+    state last swapped in does not keep the scratch alive; every row starts
+    on a 64-byte boundary.  A workspace is private to one run, and
+    `window` cuts it to the cells a run steps.  `cfl_dt` notes in
+    `stiffness` the ratio of its advective step to the explicit diffusive
+    limit 0.5 * dx**2 * min(rho / mu_n(rho)) (the same for the primitive
     viscosity and the effective diffusivity mu_n(rho)/rho): the factor by
-    which the implicit solves lengthen the step.
+    which the implicit solves lengthen the step, from which `run` sizes
+    the margin of its window.
     """
 
     SCRATCH = {"primitive": 9, "effective": 12}
 
     def __init__(self, cells: int, formulation: str):
-        padded = np.empty((2 + self.SCRATCH[formulation], cells + 4))
-        self.rho, self.mom, *self.tmp = padded
-        self.spare = tuple(np.empty((2, cells)))
+        self.rho, self.mom, *self.tmp = _aligned_rows(
+            2 + self.SCRATCH[formulation], cells + 4)
+        self.spare = tuple(_aligned_rows(2, cells))
         self.mask = np.empty(cells + 4, dtype=bool)
         self.stiffness = None
+
+    def window(self, cells: int) -> "Workspace":
+        """A workspace for `cells` of this one's cells, on the same memory:
+        each array cut to that length.  Its spare pair is the caller's to
+        set."""
+        sub = Workspace.__new__(Workspace)
+        sub.rho, sub.mom = self.rho[:cells + 4], self.mom[:cells + 4]
+        sub.tmp = [t[:cells + 4] for t in self.tmp]
+        sub.mask = self.mask[:cells + 4]
+        sub.stiffness = None
+        return sub
+
+
+def _aligned_rows(rows: int, cells: int) -> list:
+    # `rows` arrays of `cells` doubles in one block, each starting on a
+    # 64-byte boundary: the rows are padded to a multiple of 8 doubles
+    stride = -(-cells // 8) * 8
+    buf = np.empty(rows * stride + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    block = buf[start:start + rows * stride].reshape(rows, stride)
+    return [row[:cells] for row in block]
 
 
 def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
@@ -494,13 +518,14 @@ def _relaxation_rate(rho, p: Params, out, s1, s2):
 
 # expm1 overflows beyond this argument
 _EXPM1_MAX = math.log(sys.float_info.max)
-_TINY = np.finfo(float).smallest_subnormal
+_TINY = np.finfo(float).tiny
 
 
 def _bernoulli(x, out, scratch, mask):
     # B(x) = x/expm1(x) for x >= 0, written into out; x is overwritten.
-    # B is 1 at x = 0 (taken at the smallest subnormal, where it is exactly
-    # 1) and 0 where expm1 overflows, with no floating-point exception
+    # B is 1 at x = 0 (taken at the smallest normal number, where it is
+    # exactly 1, so that faces at rest do not compute on subnormals) and 0
+    # where expm1 overflows, with no floating-point exception
     np.maximum(x, _TINY, out=x)
     scratch.fill(np.inf)
     np.expm1(x, out=scratch, where=np.less_equal(x, _EXPM1_MAX, out=mask))
@@ -707,6 +732,66 @@ def relax_effective_momentum(w: np.ndarray, rho: np.ndarray, u: np.ndarray,
     return np.multiply(rho, v, out=ws.spare[1][:n])
 
 
+# the cells a step's explicit part reaches beyond those it changes: two
+# stages of the two-cell MUSCL stencil, plus the two ghost cells
+_REACH = 6
+
+
+def _window(rho, mom, lo: int, hi: int, stiffness: float, p: Params,
+            cfg: SchemeConfig, mask) -> tuple:
+    # the cells [lo, hi) the next step updates, for a state (rho, mom) at
+    # rest (rho_bar, 0) outside the current window [lo, hi), which is empty
+    # before the first step; mask is scratch.  The window only grows: it
+    # covers each cell not at rest, widened by the step's margin and rounded
+    # outward to multiples of 8 cells.  The margin is the explicit reach and
+    # the cells over which the tails of the implicit solves in rest cells
+    # fall to 2**-60, so that cutting them changes nothing above rounding.
+    # Those tails decay by r = a - sqrt(a*a - 1) = exp(-acosh a) per cell,
+    # a = 1 + 1/(2 kappa), kappa = s max(mu_n/rho) = GAMMA cfl_safety
+    # stiffness / 2, with the step's stiffness from `cfl_dt`.  It is the
+    # whole grid when every cell is at rest before the first step, or when
+    # the margin is not finite
+    n = len(rho)
+    a, b = (lo, hi) if lo < hi else (0, n)
+    m = mask[:b - a]
+    first, last = b - a, -1
+    for q, rest in ((rho, p.rho_bar), (mom, 0.0)):
+        np.not_equal(q[a:b], rest, out=m)
+        i = int(np.argmax(m))
+        if m[i]:
+            first = min(first, i)
+            last = max(last, len(m) - 1 - int(np.argmax(m[::-1])))
+    if last < 0:
+        return a, b
+    kappa = GAMMA * cfg.cfl_safety * stiffness / 2.0
+    decay = math.acosh(1.0 + 0.5 / kappa) if kappa > 0 else math.inf
+    if not decay > 0:
+        return 0, n
+    margin = _REACH + math.ceil(60.0 * math.log(2.0) / decay)
+    new_lo = max(a + first - margin, 0) // 8 * 8
+    new_hi = min(-(-(a + last + 1 + margin) // 8) * 8, n)
+    if lo < hi:
+        new_lo, new_hi = min(new_lo, lo), max(new_hi, hi)
+    return new_lo, new_hi
+
+
+@dataclass(frozen=True)
+class _WindowGrid(Grid1D):
+    # cells lo..hi-1 of a grid: their bounds, and the grid's dx bit for bit,
+    # which (x_max - x_min) / cells need not reproduce
+    step: float = math.nan
+
+    @property
+    def dx(self) -> float:
+        return self.step
+
+
+def _window_grid(g: Grid1D, lo: int, hi: int) -> Grid1D:
+    # the grid of cells lo..hi-1 of g
+    return _WindowGrid(g.x_min + lo * g.dx, g.x_min + hi * g.dx, hi - lo,
+                       g.dx)
+
+
 def _exp(x: float) -> float:
     # math.exp, inf where it overflows
     try:
@@ -722,7 +807,14 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     steps, recording diagnostics snapshots at the requested cadence plus the
     first and last states; a non-finite state ends the run ("nonfinite").
     The steps write into one Workspace built for this call; snapshots are
-    copies."""
+    copies.
+
+    On a far-field grid without a source the steps update only a window of
+    cells, which grows to cover every cell not at rest (rho_bar, 0) plus
+    the reach of the coming step (`_window`); the other cells keep their
+    rest values.  The window is the whole grid on a periodic grid, with a
+    source, and when no cell is at rest or none is disturbed.  Records, the
+    mass audit and the per-step integrals read the whole state."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be nonnegative and finite")
     if record_every is not None and not (math.isfinite(record_every)
@@ -764,8 +856,20 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     ws = Workspace(g.cells, cfg.formulation)
     rate_scratch = ws.tmp[:2]
     next_record = record_every if record_every else math.inf
-    stepper = step_effective if effective else step_primitive
+    cls, stepper = ((EffectiveState, step_effective) if effective
+                    else (State, step_primitive))
     tiny = 1e-12 * max(t_end, 1.0)
+    # the steps update the cells [lo, hi) of the grid sub_g, with the
+    # workspace sub: a window that starts empty and grows (`_window`) on a
+    # far-field grid without forcing, else all of them.  Both pairs hold the
+    # rest state outside the window
+    pair = (state.rho, state.w if effective else state.m)
+    spare = ws.spare
+    for a, b in zip(spare, pair):
+        np.copyto(a, b)
+    n = g.cells
+    lo, hi = (0, 0) if cfg.bc == "farfield" and source is None else (0, n)
+    sub, sub_g = ws, g
 
     try:
         dt_cfl = cfl_dt(state, g, p, cfg, ws=ws)
@@ -774,18 +878,27 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             if traj.steps >= cfg.max_steps:
                 traj.status = "step_budget_exhausted"
                 break
+            if hi - lo < n:
+                bounds = _window(*pair, lo, hi, stiffness, p, cfg, ws.mask)
+                if bounds != (lo, hi):
+                    lo, hi = bounds
+                    sub, sub_g = ((ws, g) if hi - lo == n else (
+                        ws.window(hi - lo), _window_grid(g, lo, hi)))
+            cells = slice(lo, hi)
+            sub.spare = (spare[0][cells], spare[1][cells])
             dt = min(dt_cfl, t_end - state.t)
-            new, (f_left, f_right) = stepper(state, dt, g, p, cfg, source,
-                                             ws=ws)
-            dt_next = cfl_dt(new, g, p, cfg, ws=ws)  # rejects non-finite
+            new, (f_left, f_right) = stepper(
+                cls(pair[0][cells], pair[1][cells], state.t), dt, sub_g, p,
+                cfg, source, ws=sub)
+            dt_next = cfl_dt(new, sub_g, p, cfg, ws=sub)  # rejects non-finite
             # accepted: the replaced state's arrays take the next step
-            ws.spare = (state.rho, state.w if effective else state.m)
-            state = new
+            pair, spare = spare, pair
+            state = cls(*pair, new.t)
             traj.steps += 1
             dt_lo, dt_hi = min(dt_lo, dt_cfl), max(dt_hi, dt_cfl)
             stiff_lo = min(stiff_lo, stiffness)
             stiff_hi = max(stiff_hi, stiffness)
-            dt_cfl, stiffness = dt_next, ws.stiffness
+            dt_cfl, stiffness = dt_next, sub.stiffness
 
             # exact discrete mass balance audit (meaningless under forcing)
             mass_now = float(np.sum(state.rho)) * dx
@@ -820,7 +933,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     if traj.steps:
         traj.dt_min, traj.dt_max = dt_lo, dt_hi
         traj.stiffness_min, traj.stiffness_max = stiff_lo, stiff_hi
-    del ws, rate_scratch
+    del ws, sub, spare, rate_scratch
     if traj.records[-1].t < state.t - tiny:
         record(state)
     return traj

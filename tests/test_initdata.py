@@ -254,6 +254,17 @@ def test_presets_validate_and_build():
         assert built.state.rho.min() > 0
 
 
+@pytest.mark.parametrize("cells", [512, 5120, 20480])
+def test_presets_hold_the_far_field_exactly(cells):
+    # the mollified density keeps its edge value rho_bar bit for bit, so the
+    # far field is at exact rest and a run need not step it
+    g = grid(cells=cells, lo=-20.0, hi=20.0)
+    for name in PRESET_NAMES:
+        s = preset_scenario(name)
+        rho = build_scenario(s, g).state.rho
+        assert rho[0] == rho[-1] == s.params.rho_bar, name
+
+
 def test_preset_unknown_name():
     with pytest.raises(KeyError):
         preset_scenario("vortex")

@@ -1,6 +1,7 @@
 """Unit tests for the time steppers: CFL control, exact structural
 properties (fixed points, translation invariance, mass balance, mirror
 symmetry), failure statuses, and both flux/limiter options."""
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -368,12 +369,15 @@ def test_unknown_limiter_rejected():
 # the per-run workspace
 
 
-def hand_run(initial, t_end, g, p, cfg, record_every):
-    """run() replayed with the public steppers, cfl_dt and diagnostics, each
-    called without a workspace; returns (snapshots, steps, mass audit, the
-    CFL step of every step taken)."""
+def hand_run(initial, t_end, g, p, cfg, record_every, windowed=True):
+    """run() replayed with the public steppers and diagnostics, each called
+    without a workspace, and cfl_dt with a fresh one (for the step's
+    stiffness); the steps update run's window (`solver._window`) unless
+    `windowed` is false, when they update the whole grid.  Returns
+    (snapshots, steps, mass audit, the CFL step of every step taken)."""
     effective = cfg.formulation == "effective"
-    stepper = step_effective if effective else step_primitive
+    cls, stepper = ((EffectiveState, step_effective) if effective
+                    else (State, step_primitive))
     tiny = 1e-12 * max(t_end, 1.0)
     state = initial
     gron = diss = mass_max = mass_acc = 0.0
@@ -393,14 +397,35 @@ def hand_run(initial, t_end, g, p, cfg, record_every):
             sv, w, g, p, cfg.bc, gronwall_rhs=base * math.exp(3.0 * gron),
             dissipation_bd=diss), base))
 
+    def cfl(s, grid):
+        ws = solver.Workspace(grid.cells, cfg.formulation)
+        return cfl_dt(s, grid, p, cfg, ws=ws), ws.stiffness
+
+    def fields(s):
+        return s.rho, s.w if effective else s.m
+
+    n = g.cells
+    lo, hi = (0, 0) if windowed and cfg.bc == "farfield" else (0, n)
+    sub_g = g
     snap()
     next_record = record_every
-    dt_cfl = cfl_dt(state, g, p, cfg)
+    dt_cfl, stiffness = cfl(state, g)
     while state.t < t_end - tiny:
+        if hi - lo < n:
+            bounds = solver._window(*fields(state), lo, hi, stiffness, p,
+                                    cfg, np.empty(n, dtype=bool))
+            if bounds != (lo, hi):
+                lo, hi = bounds
+                sub_g = g if hi - lo == n else solver._window_grid(g, lo, hi)
         dt = min(dt_cfl, t_end - state.t)
-        state, (f_left, f_right) = stepper(state, dt, g, p, cfg)
+        new, (f_left, f_right) = stepper(
+            cls(*(f[lo:hi] for f in fields(state)), state.t), dt, sub_g, p,
+            cfg)
         dts.append(dt_cfl)
-        dt_cfl = cfl_dt(state, g, p, cfg)
+        dt_cfl, stiffness = cfl(new, sub_g)
+        rho, mom = (f.copy() for f in fields(state))
+        rho[lo:hi], mom[lo:hi] = fields(new)
+        state = cls(rho, mom, new.t)
         mass_now = float(np.sum(state.rho)) * g.dx
         defect = abs(mass_now - mass - (f_left - f_right) * dt) / scale
         mass_max, mass_acc = max(mass_max, defect), mass_acc + defect
@@ -438,6 +463,99 @@ def test_run_matches_hand_loop_without_workspace(formulation, bc, limiter,
     initial = initial_state(built, g, p, cfg)
     traj = run(initial, 0.25, g, p, cfg, record_every=0.02)
     snaps, steps, audit, _ = hand_run(initial, 0.25, g, p, cfg, 0.02)
+    assert traj.status == "completed"
+    assert traj.steps == steps > 5
+    assert [_bytes(s) for s, _ in traj.snapshots] == \
+        [_bytes(s) for s, _ in snaps]
+    assert traj.records == [r for _, r in snaps]
+    assert (traj.mass_error_max, traj.mass_error_accum) == audit
+
+
+def _spy_windows(monkeypatch):
+    # the bounds of every window `run` takes from `solver._window`
+    windows = []
+    window = solver._window
+
+    def spy(*args):
+        windows.append(window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(solver, "_window", spy)
+    return windows
+
+
+@pytest.mark.parametrize("preset", ["theo1", "corbis"])
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_window_run_matches_whole_grid_to_a_few_ulps(preset, formulation,
+                                                     monkeypatch):
+    # on a far-field grid a run steps only the cells not at rest, plus a
+    # margin; that changes the state by rounding alone (the cyclic
+    # reduction of a shorter system rounds differently).  Against the whole
+    # grid, rho may move by 8 ulps of its largest value and m by that over
+    # dx (m of an effective run is recovered through d_x phi1(rho)); at
+    # these settings the largest moves are 1 ulp and 0.23 ulp / dx
+    g = Grid1D(-20.0, 20.0, 1280)
+    spec = preset_scenario(preset)
+    p = spec.params
+    cfg = SchemeConfig(formulation=formulation)
+    initial = initial_state(build_scenario(spec, g), g, p, cfg)
+    windows = _spy_windows(monkeypatch)
+    traj = run(initial, 0.05, g, p, cfg, record_every=0.01)
+    monkeypatch.undo()
+    assert traj.status == "completed"
+    assert max(hi - lo for lo, hi in windows) < 0.5 * g.cells
+    # the windowed hand loop is the same computation, bit for bit
+    snaps, steps, audit, _ = hand_run(initial, 0.05, g, p, cfg, 0.01)
+    assert traj.steps == steps > 5
+    assert [_bytes(s) for s, _ in traj.snapshots] == \
+        [_bytes(s) for s, _ in snaps]
+    assert traj.records == [r for _, r in snaps]
+    assert (traj.mass_error_max, traj.mass_error_accum) == audit
+    whole, steps, _, _ = hand_run(initial, 0.05, g, p, cfg, 0.01,
+                                  windowed=False)
+    assert traj.steps == steps
+    for (a, ra), (b, rb) in zip(traj.snapshots, whole, strict=True):
+        assert a.t == pytest.approx(b.t, rel=1e-14)
+        ulp = np.finfo(float).eps * np.max(b.rho)
+        assert np.max(np.abs(a.rho - b.rho)) <= 8 * ulp
+        assert np.max(np.abs(a.m - b.m)) <= 8 * ulp / g.dx
+        for name, value in dataclasses.asdict(ra).items():
+            assert value == pytest.approx(getattr(rb, name), rel=1e-12,
+                                          abs=1e-15), name
+
+
+@pytest.mark.parametrize("cells", [300, 1000, 4097])
+def test_window_grid_keeps_dx_bit_for_bit(cells):
+    # (x_max - x_min) / cells of a window's own bounds is often not the
+    # grid's dx, whose quotient the steps must reproduce exactly
+    g = Grid1D(-20.0, 20.0 + 1.0 / 3.0, cells)
+    for lo in range(0, cells - 8, 8):
+        for hi in (lo + 8, min(lo + 200, cells), cells):
+            sub = solver._window_grid(g, lo, hi)
+            assert sub.cells == hi - lo and sub.dx == g.dx
+            np.testing.assert_allclose(sub.centers(), g.centers()[lo:hi],
+                                       rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("preset, bc", [("theo1", "periodic"),
+                                        ("hoff", "farfield")])
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_periodic_and_hoff_runs_step_the_whole_grid(preset, bc, formulation,
+                                                     monkeypatch):
+    # a periodic grid has no far field, and hoff's Gaussian u0 leaves no
+    # cell at rest: the window is the whole grid, found by at most one scan,
+    # and the run is the whole-grid loop bit for bit
+    g = Grid1D(-20.0, 20.0, 640)
+    spec = preset_scenario(preset)
+    p = spec.params
+    cfg = SchemeConfig(formulation=formulation, bc=bc)
+    initial = initial_state(build_scenario(spec, g), g, p, cfg)
+    windows = _spy_windows(monkeypatch)
+    traj = run(initial, 0.1, g, p, cfg, record_every=0.02)
+    monkeypatch.undo()
+    assert windows == ([] if bc == "periodic" else [(0, g.cells)])
+    snaps, steps, audit, _ = hand_run(initial, 0.1, g, p, cfg, 0.02,
+                                      windowed=False)
     assert traj.status == "completed"
     assert traj.steps == steps > 5
     assert [_bytes(s) for s, _ in traj.snapshots] == \
