@@ -5,7 +5,10 @@ Both steppers are one IMEX-SSP2(2,2,2) step (Pareschi & Russo 2005,
 transport by the flow velocity u and the pressure are explicit Heun
 stages, and the parabolic term implicit, as is the drift of rho by v on an
 effective run, one tridiagonal cyclic-reduction solve per pass, so the step
-is limited by the advective CFL bound |u| + c alone.
+is limited by the advective CFL bound |u| + c alone.  The couplings of a
+dominant system shrink quadratically per reduction level (Heller 1976), so
+the reduction stops at the first level whose rows have decoupled to
+2**-60 of their diagonal (`solve_tridiagonal`).
 Primitive: the mass and momentum fluxes (MUSCL-reconstructed Rusanov or
 upwind interface states, `_primitive_flux`) are explicit; the viscous term
 (mu_n(rho) u_x)_x, a centered flux with harmonic face viscosity, is solved
@@ -420,7 +423,15 @@ def solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     correction handles them.  The reduction does not pivot, so the matrix
     must be diagonally dominant; a zero d gives an exactly zero x.  `work`
     holds three more rows of len(d) (the Sherman-Morrison column, the
-    elimination factors and their products)."""
+    elimination factors and their products).
+
+    Each reduction level at most squares the largest row ratio
+    (|a| + |c|)/|b| of a dominant system (Heller 1976, incomplete cyclic
+    reduction), so the reduction stops at the first level of at most 128
+    rows where every row has |a| + |c| <= 2**-60 |b| and solves it as a
+    diagonal.  That moves each unknown by at most 2**-60 max|x|, below
+    rounding, and keeps the deeper levels' couplings from underflowing; a
+    system that never decouples takes every level."""
     if work is None:
         work = np.empty((3, len(d)))
     z, fac, prod = work[0], work[1], work[2]
@@ -443,17 +454,41 @@ def solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return d
 
 
+# the reduction tests for decoupled rows only on levels of at most this many
+# rows: wider levels seldom pass the test, and each failed test is a pass
+# over the level's rows spent for nothing
+_DECOUPLE_ROWS = 128
+
+
+def _decoupled(A, B, C, s, scratch) -> bool:
+    # whether every row has |A| + |C| <= 2**-60 |B|, tested as
+    # (|A| + |C|) 2**60 <= |B|: scaling by a power of two is exact, and an
+    # overflow to inf, of the sum or the scaled sum, gives the exact outcome
+    # too (no finite |B| reaches 2**1024), so it is let pass; scaling |B|
+    # down instead would round below 2**-962.  A NaN compares false.  s and
+    # scratch hold len(B) values each
+    k = len(B)
+    with np.errstate(over="ignore"):
+        s = np.add(np.abs(A, out=s[:k]), np.abs(C, out=scratch[:k]),
+                   out=s[:k])
+        s *= 2.0 ** 60
+    return bool(np.all(s <= np.abs(B, out=scratch[:k])))
+
+
 def _cyclic_reduction(a, b, c, rhs, fac, prod):
     # in place: level k keeps its rows at a[2**k - 1 :: 2**k]; each level
     # eliminates its even rows from its odd ones, which form the next level,
-    # and back substitution then solves the even rows level by level
+    # and back substitution then solves the even rows level by level.  A
+    # level whose rows have decoupled (`_decoupled`) is solved as a
+    # diagonal, as the last level of one row is.  Returns the number of
+    # levels eliminated
     levels = []
     off, stride = 0, 1
     while True:
         view = slice(off, None, stride)
         A, B, C = a[view], b[view], c[view]
         k = len(B)
-        if k == 1:
+        if k == 1 or k <= _DECOUPLE_ROWS and _decoupled(A, B, C, fac, prod):
             for d in rhs:
                 np.divide(d[view], B, out=d[view])
             break
@@ -484,6 +519,7 @@ def _cyclic_reduction(a, b, c, rhs, fac, prod):
             d_left -= np.multiply(A[2::2], d_odd[:e - 1], out=prod[:e - 1])
             d_right -= np.multiply(C[0:2 * m:2], d_odd, out=prod[:m])
             d_even /= B[0::2]
+    return len(levels)
 
 
 def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,

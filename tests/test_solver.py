@@ -119,6 +119,54 @@ def test_bernoulli_edge_values_raise_nothing():
     assert not np.any(b[6:])
 
 
+def test_decoupling_test_is_exact_and_raises_nothing():
+    # |A| + |C| <= 2**-60 |B| row by row: at the edge of the bound, for
+    # subnormal rows (2**-60 |B| of the fourth row would round up to |A|)
+    # and huge ones (the sum of the seventh overflows), and false on a NaN
+    tiny = np.finfo(float).smallest_subnormal
+    huge = np.finfo(float).max
+    A = np.array([2.0 ** -61, 0.0, 2.0 ** -61, 2.0 ** -1059, tiny, 1e300,
+                  huge, 0.0, 1.0])
+    C = np.array([2.0 ** -61, 0.0, 2.0 ** -60, 0.0, 0.0, 1e300, huge, 0.0,
+                  0.0])
+    B = np.array([1.0, tiny, 1.0, np.nextafter(2.0 ** -999, 0.0),
+                  2.0 ** -1000, 1e308, huge, np.nan, np.inf])
+    expected = [True, True, False, False, True, False, False, False, True]
+    with np.errstate(all="raise"):
+        got = [solver._decoupled(A[i:i + 1], B[i:i + 1], C[i:i + 1],
+                                 np.empty(1), np.empty(1))
+               for i in range(len(B))]
+        assert not solver._decoupled(A, B, C, np.empty(9), np.empty(9))
+    assert got == expected
+
+
+def test_solve_of_a_dominant_system_raises_nothing():
+    # its couplings decay to subnormals within the full reduction's levels
+    rng = np.random.default_rng(0)
+    a, c = -rng.uniform(0.1, 1.0, (2, 1000))
+    b = 1.0 + np.abs(a) + np.abs(c)
+    d = rng.standard_normal(1000)
+    with np.errstate(all="raise"):
+        x = solver.solve_tridiagonal(a.copy(), b.copy(), c.copy(), d.copy())
+    residual = b * x - d
+    residual[1:] += a[1:] * x[:-1]
+    residual[:-1] += c[:-1] * x[1:]
+    assert np.max(np.abs(residual)) < 1e-14
+
+
+@pytest.mark.parametrize("preset, cells", [
+    ("equilibrium", 640), ("hoff", 640), ("equilibrium", 5120),
+    ("theo1", 5120), ("theo2", 5120), ("hoff", 5120)])
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_runs_raise_no_floating_point_error(preset, cells, formulation):
+    # the solves stop before their couplings reach subnormals
+    cfg = harness.preset_config(preset, **{
+        "grid.cells": str(cells), "run.t_end": "0.002",
+        "scheme.formulation": formulation})
+    with np.errstate(all="raise"):
+        assert harness.simulate(cfg).status == "completed"
+
+
 @pytest.mark.parametrize("preset", ["hoff", "corbis"])
 def test_effective_steps_track_the_primitive_on_weak_coupling(preset):
     # the drift by v is implicit, so on a density jump the effective step is
