@@ -308,6 +308,7 @@ def write_artifacts(traj: Trajectory, cfg: RunConfig, out_dir: str) -> dict:
     summary = {
         "status": traj.status,
         "steps": traj.steps,
+        "cell_steps": traj.cell_steps,
         "dt_min": traj.dt_min,
         "dt_max": traj.dt_max,
         "stiffness_min": traj.stiffness_min,

@@ -154,9 +154,12 @@ def heat_mollify(data, tau: float, g: Grid1D) -> MollifiedField:
     if isinstance(data, (list, tuple)):
         x = g.centers()
         out = np.zeros(g.cells)
-        for x0, mass in data:
-            out += mass * np.exp(-(x - x0) ** 2 / (4.0 * tau)) \
-                / math.sqrt(4.0 * math.pi * tau)
+        # far from an atom its Gaussian underflows, rounding to subnormals
+        # and zero as it should
+        with np.errstate(under="ignore"):
+            for x0, mass in data:
+                out += mass * np.exp(-(x - x0) ** 2 / (4.0 * tau)) \
+                    / math.sqrt(4.0 * math.pi * tau)
         clipped = 8.0 * math.sqrt(2.0 * tau) > 0.5 * (g.x_max - g.x_min)
         return MollifiedField(out, clipped)
     data = np.asarray(data, dtype=float)

@@ -31,8 +31,9 @@ update (`_update`), sources and cell rates (`_add_source`) and the vacuum
 floor (`_check_floor`).
 The cell velocities v = w/rho and u = v - d_x phi(rho) of an effective
 state have one definition (`_velocities`), shared by `cfl_dt` and the
-explicit stage.  `run` hands the steppers only the window of cells that are
-not at far-field rest, plus the reach of a step (`_window`).
+explicit stage.  `run` hands the steppers only the cells within the reach of
+a step of a face between unequal or moving states, gathered into one array
+(`_window`).
 """
 from __future__ import annotations
 
@@ -97,6 +98,7 @@ class Trajectory:
     # completed | vacuum_breach | nonfinite | step_budget_exhausted
     status: str = "completed"
     steps: int = 0
+    cell_steps: int = 0  # the cells stepped, summed over the steps
     mass_error_max: float = 0.0   # per-step relative mass-balance defect
     mass_error_accum: float = 0.0  # accumulated relative defect over the run
     warnings: list = field(default_factory=list)  # the scenario's warnings
@@ -126,16 +128,15 @@ class Workspace:
     is scratch for slopes, faces, fluxes, the implicit solves (an effective
     step's fitted face weights included), `cfl_dt` and the per-step BD
     rate, and holds the step's weighted face-flux sums and an effective
-    step's two relaxation rates; `spare` receives the next state, and `run`
-    hands the replaced state's arrays back as the new spare once the step
-    is accepted (a primitive step also uses the pair as solver scratch
-    until it writes the new state).  Primitive steps use 9 scratch arrays
-    and effective steps 12, so a workspace holds 13 or 16 cell-sized
-    arrays.
-    They are allocated as two blocks, the spare pair apart, so that the
-    state last swapped in does not keep the scratch alive; every row starts
-    on a 64-byte boundary.  A workspace is private to one run, and
-    `window` cuts it to the cells a run steps.  `cfl_dt` notes in
+    step's two relaxation rates; `spare` receives the next state, which
+    `run` copies back to the state's cells once the step is accepted (a
+    primitive step also uses the pair as solver scratch until it writes the
+    new state).  Primitive steps use 9 scratch arrays and effective steps
+    12, so a workspace holds 13 or 16 cell-sized arrays.
+    They are allocated as two blocks, the spare pair apart, so that a state
+    a stepper returns does not keep the scratch alive; every row starts on
+    a 64-byte boundary.  A workspace is private to one run, and `window`
+    cuts it to the number of cells a run steps.  `cfl_dt` notes in
     `stiffness` the ratio of its advective step to the explicit diffusive
     limit 0.5 * dx**2 * min(rho / mu_n(rho)) (the same for the primitive
     viscosity and the effective diffusivity mu_n(rho)/rho): the factor by
@@ -153,12 +154,12 @@ class Workspace:
         self.stiffness = None
 
     def window(self, cells: int) -> "Workspace":
-        """A workspace for `cells` of this one's cells, on the same memory:
-        each array cut to that length.  Its spare pair is the caller's to
-        set."""
+        """A workspace for `cells` cells on this one's memory: each array
+        cut to the length that many cells take."""
         sub = Workspace.__new__(Workspace)
         sub.rho, sub.mom = self.rho[:cells + 4], self.mom[:cells + 4]
         sub.tmp = [t[:cells + 4] for t in self.tmp]
+        sub.spare = tuple(q[:cells] for q in self.spare)
         sub.mask = self.mask[:cells + 4]
         sub.stiffness = None
         return sub
@@ -202,12 +203,13 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
     else:
         speed = np.abs(np.divide(mom, rho, out=t0[:n]), out=t1[:n])
     speed += sound_speed(rho, p, out=t0[:n])
-    adv = g.dx / np.max(speed)
+    adv = g.dx / np.maximum.reduce(speed)
     # adv / (0.5 dx**2 min(rho/mu)), in float products so that an
     # overflowing viscosity gives inf rather than a division by zero
     diffusivity = np.divide(viscosity(rho, p, out=t0[:n], scratch=t1[:n]),
                             rho, out=t0[:n])
-    ws.stiffness = 2.0 * float(adv) * float(np.max(diffusivity)) / g.dx ** 2
+    ws.stiffness = (2.0 * float(adv) * float(np.maximum.reduce(diffusivity))
+                    / g.dx ** 2)
     return cfg.cfl_safety * float(adv)
 
 
@@ -472,7 +474,7 @@ def _decoupled(A, B, C, s, scratch) -> bool:
         s = np.add(np.abs(A, out=s[:k]), np.abs(C, out=scratch[:k]),
                    out=s[:k])
         s *= 2.0 ** 60
-    return bool(np.all(s <= np.abs(B, out=scratch[:k])))
+    return bool(np.logical_and.reduce(s <= np.abs(B, out=scratch[:k])))
 
 
 def _cyclic_reduction(a, b, c, rhs, fac, prod):
@@ -636,7 +638,7 @@ def _implicit_diffusion(rho, w, k: float, g: Grid1D, p: Params,
 
 
 def _check_floor(rho, cfg: SchemeConfig, p: Params, t: float):
-    if np.min(rho) < cfg.floor(p):
+    if np.minimum.reduce(rho) < cfg.floor(p):
         raise VacuumError(f"density fell below the vacuum floor at t={t:g}")
 
 
@@ -773,48 +775,83 @@ def relax_effective_momentum(w: np.ndarray, rho: np.ndarray, u: np.ndarray,
 _REACH = 6
 
 
-def _window(rho, mom, lo: int, hi: int, stiffness: float, p: Params,
+def _window(rho, mom, stepped: tuple, stiffness: float, p: Params,
             cfg: SchemeConfig, mask) -> tuple:
-    # the cells [lo, hi) the next step updates, for a state (rho, mom) at
-    # rest (rho_bar, 0) outside the current window [lo, hi), which is empty
-    # before the first step; mask is scratch.  The window only grows: it
-    # covers each cell not at rest, widened by the step's margin and rounded
-    # outward to multiples of 8 cells.  The margin is the explicit reach and
-    # the cells over which the tails of the implicit solves in rest cells
-    # fall to 2**-60, so that cutting them changes nothing above rounding.
-    # Those tails decay by r = a - sqrt(a*a - 1) = exp(-acosh a) per cell,
-    # a = 1 + 1/(2 kappa), kappa = s max(mu_n/rho) = GAMMA cfl_safety
-    # stiffness / 2, with the step's stiffness from `cfl_dt`.  It is the
-    # whole grid when every cell is at rest before the first step, or when
-    # the margin is not finite
+    # the cells the next step updates, as the sorted bounds (lo0, hi0, lo1,
+    # hi1, ...) of disjoint intervals, for a state (rho, mom) that has not
+    # changed outside the current intervals `stepped`, which are empty
+    # before the first step; mask is scratch.  A face is active when the
+    # states on its two sides differ or either side has nonzero momentum;
+    # the grid's edge faces compare with the far-field ghost (rho_bar, 0).
+    # The intervals cover each cell within the step's margin of an active
+    # face, rounded outward to multiples of 8 cells, and only grow, so the
+    # cells between them are constant runs at rest, which a step leaves as
+    # they are, and only the faces of stepped cells can have become active.
+    # The margin is the explicit reach and the cells over which the tails
+    # of the implicit solves in rest cells fall to 2**-60, so that cutting
+    # them changes nothing above rounding.  Those tails decay by r = a -
+    # sqrt(a*a - 1) = exp(-acosh a) per cell, a = 1 + 1/(2 kappa), kappa =
+    # s max(mu_n/rho) = GAMMA cfl_safety stiffness / 2, with the step's
+    # stiffness from `cfl_dt`.  The set is the whole grid when no face is
+    # active before the first step, or when the margin is not finite
     n = len(rho)
-    a, b = (lo, hi) if lo < hi else (0, n)
-    m = mask[:b - a]
-    first, last = b - a, -1
-    for q, rest in ((rho, p.rho_bar), (mom, 0.0)):
-        np.not_equal(q[a:b], rest, out=m)
-        i = int(np.argmax(m))
-        if m[i]:
-            first = min(first, i)
-            last = max(last, len(m) - 1 - int(np.argmax(m[::-1])))
-    if last < 0:
-        return a, b
+    scan = stepped or (0, n)
+    edges = []  # where the runs of active faces start and stop, in order
+    for lo, hi in zip(scan[::2], scan[1::2]):
+        # the faces lo..hi, face k between cells k-1 and k
+        if lo == 0 and (rho[0] != p.rho_bar or mom[0] != 0.0):
+            edges += 0, 1
+        a, b = max(lo - 1, 0), min(hi + 1, n)
+        active = np.not_equal(rho[a + 1:b], rho[a:b - 1], out=mask[:b - a - 1])
+        moving = mom[a:b] != 0.0
+        active |= moving[1:]
+        active |= moving[:-1]
+        if len(active):
+            flips = (active[1:] != active[:-1]).nonzero()[0] + (a + 2)
+            edges += [a + 1] * bool(active[0]) + flips.tolist() \
+                + [b] * bool(active[-1])
+        if hi == n and (rho[-1] != p.rho_bar or mom[-1] != 0.0):
+            edges += n, n + 1
+    if not edges:
+        return scan
     kappa = GAMMA * cfg.cfl_safety * stiffness / 2.0
     decay = math.acosh(1.0 + 0.5 / kappa) if kappa > 0 else math.inf
     if not decay > 0:
         return 0, n
     margin = _REACH + math.ceil(60.0 * math.log(2.0) / decay)
-    new_lo = max(a + first - margin, 0) // 8 * 8
-    new_hi = min(-(-(a + last + 1 + margin) // 8) * 8, n)
-    if lo < hi:
-        new_lo, new_hi = min(new_lo, lo), max(new_hi, hi)
-    return new_lo, new_hi
+    bounds = []
+    for lo, hi in sorted([*zip(stepped[::2], stepped[1::2]),
+                          *((max((f - margin) // 8 * 8, 0),
+                             min((e + margin + 6) // 8 * 8, n))
+                            for f, e in zip(edges[::2], edges[1::2]))]):
+        if bounds and lo <= bounds[-1]:
+            bounds[-1] = max(bounds[-1], hi)
+        else:
+            bounds += lo, hi
+    return tuple(bounds)
+
+
+def _pieces(bounds: tuple) -> list:
+    # (cells of the grid, cells of the gathered arrays) of each interval
+    out, at = [], 0
+    for lo, hi in zip(bounds[::2], bounds[1::2]):
+        out.append((slice(lo, hi), slice(at, at + hi - lo)))
+        at += hi - lo
+    return out
+
+
+def _gather(q: np.ndarray, pieces: list) -> np.ndarray:
+    # the cells of the pieces side by side: a view of one, a copy of several
+    if len(pieces) == 1:
+        return q[pieces[0][0]]
+    return np.concatenate([q[full] for full, _ in pieces])
 
 
 @dataclass(frozen=True)
 class _WindowGrid(Grid1D):
-    # cells lo..hi-1 of a grid: their bounds, and the grid's dx bit for bit,
-    # which (x_max - x_min) / cells need not reproduce
+    # cells lo..hi-1 of a grid, or as many cells gathered from it: the
+    # bounds of lo..hi-1, and the grid's dx bit for bit, which (x_max -
+    # x_min) / cells need not reproduce
     step: float = math.nan
 
     @property
@@ -836,6 +873,10 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+# a state may hold values near the underflow threshold, as the tails of a
+# mollified atom's Gaussian do, where any arithmetic rounds to subnormals or
+# zero as IEEE prescribes
+@np.errstate(under="ignore")
 def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
         p: Params, cfg: SchemeConfig, record_every: float | None = None,
         source: Source = None, jump_x0: float = 0.0) -> Trajectory:
@@ -845,12 +886,17 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     The steps write into one Workspace built for this call; snapshots are
     copies.
 
-    On a far-field grid without a source the steps update only a window of
-    cells, which grows to cover every cell not at rest (rho_bar, 0) plus
-    the reach of the coming step (`_window`); the other cells keep their
-    rest values.  The window is the whole grid on a periodic grid, with a
-    source, and when no cell is at rest or none is disturbed.  Records, the
-    mass audit and the per-step integrals read the whole state."""
+    On a far-field grid without a source the steps update only the cells
+    within the reach of the coming step of a face between unequal states or
+    a moving one (`_window`): a few intervals, which only grow.  The steps
+    run on those cells gathered side by side, one stepper call and one
+    `cfl_dt` call per step; two neighbours there meet inside a constant run
+    at rest, so their face is that of two equal rest cells, and the new
+    values go back to their cells.  The other cells keep their values bit
+    for bit.  The set is the whole grid on a periodic grid, with a source,
+    and when no constant run at rest is long enough to skip or no face is
+    active.  Records, the mass audit and the per-step integrals read the
+    whole state; `Trajectory.cell_steps` sums the cells stepped."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be nonnegative and finite")
     if record_every is not None and not (math.isfinite(record_every)
@@ -895,17 +941,16 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     cls, stepper = ((EffectiveState, step_effective) if effective
                     else (State, step_primitive))
     tiny = 1e-12 * max(t_end, 1.0)
-    # the steps update the cells [lo, hi) of the grid sub_g, with the
-    # workspace sub: a window that starts empty and grows (`_window`) on a
-    # far-field grid without forcing, else all of them.  Both pairs hold the
-    # rest state outside the window
-    pair = (state.rho, state.w if effective else state.m)
-    spare = ws.spare
-    for a, b in zip(spare, pair):
-        np.copyto(a, b)
+    # the steps update the cells of the intervals `stepped`, gathered side
+    # by side, with the workspace sub on the grid sub_g of their number:
+    # intervals that start empty and grow (`_window`) on a far-field grid
+    # without forcing, else the whole grid.  The state's arrays take the new
+    # values back
+    held = (state.rho, state.w if effective else state.m)
     n = g.cells
-    lo, hi = (0, 0) if cfg.bc == "farfield" and source is None else (0, n)
-    sub, sub_g = ws, g
+    whole = (0, n)
+    windowed = cfg.bc == "farfield" and source is None
+    stepped, sub, new = (), ws, None
 
     try:
         dt_cfl = cfl_dt(state, g, p, cfg, ws=ws)
@@ -914,23 +959,26 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             if traj.steps >= cfg.max_steps:
                 traj.status = "step_budget_exhausted"
                 break
-            if hi - lo < n:
-                bounds = _window(*pair, lo, hi, stiffness, p, cfg, ws.mask)
-                if bounds != (lo, hi):
-                    lo, hi = bounds
-                    sub, sub_g = ((ws, g) if hi - lo == n else (
-                        ws.window(hi - lo), _window_grid(g, lo, hi)))
-            cells = slice(lo, hi)
-            sub.spare = (spare[0][cells], spare[1][cells])
+            if stepped != whole:
+                spans = (_window(*held, stepped, stiffness, p, cfg, ws.mask)
+                         if windowed else whole)
+                if spans != stepped:
+                    stepped, pieces = spans, _pieces(spans)
+                    cells, lo = pieces[-1][1].stop, spans[0]
+                    sub, sub_g = ((ws, g) if cells == n else (
+                        ws.window(cells), _window_grid(g, lo, lo + cells)))
             dt = min(dt_cfl, t_end - state.t)
             new, (f_left, f_right) = stepper(
-                cls(pair[0][cells], pair[1][cells], state.t), dt, sub_g, p,
-                cfg, source, ws=sub)
+                cls(*(_gather(q, pieces) for q in held), state.t), dt, sub_g,
+                p, cfg, source, ws=sub)
             dt_next = cfl_dt(new, sub_g, p, cfg, ws=sub)  # rejects non-finite
-            # accepted: the replaced state's arrays take the next step
-            pair, spare = spare, pair
-            state = cls(*pair, new.t)
+            # accepted: the new values go to their cells
+            for full, packed in pieces:
+                for q, c in zip(held, sub.spare):
+                    q[full] = c[packed]
+            state = cls(*held, new.t)
             traj.steps += 1
+            traj.cell_steps += cells
             dt_lo, dt_hi = min(dt_lo, dt_cfl), max(dt_hi, dt_cfl)
             stiff_lo = min(stiff_lo, stiffness)
             stiff_hi = max(stiff_hi, stiffness)
@@ -969,7 +1017,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     if traj.steps:
         traj.dt_min, traj.dt_max = dt_lo, dt_hi
         traj.stiffness_min, traj.stiffness_max = stiff_lo, stiff_hi
-    del ws, sub, spare, rate_scratch
+    del ws, sub, new, rate_scratch
     if traj.records[-1].t < state.t - tiny:
         record(state)
     return traj

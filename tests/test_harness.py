@@ -251,6 +251,8 @@ def test_run_scenario_artifacts(tmp_path):
     assert summary["mass_error_accum"] <= 1e-10
     assert 0 < summary["dt_min"] <= summary["dt_max"]
     assert 1 < summary["stiffness_min"] <= summary["stiffness_max"]
+    # a far-field run steps some of the cells
+    assert 0 < summary["cell_steps"] <= summary["steps"] * summary["cells"]
 
 
 def _kept_states(traj):

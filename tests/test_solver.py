@@ -155,11 +155,14 @@ def test_solve_of_a_dominant_system_raises_nothing():
 
 
 @pytest.mark.parametrize("preset, cells", [
-    ("equilibrium", 640), ("hoff", 640), ("equilibrium", 5120),
-    ("theo1", 5120), ("theo2", 5120), ("hoff", 5120)])
+    ("equilibrium", 640), ("hoff", 640), ("corbis", 640),
+    ("equilibrium", 5120), ("theo1", 5120), ("theo2", 5120), ("hoff", 5120),
+    ("corbis", 5120)])
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_runs_raise_no_floating_point_error(preset, cells, formulation):
-    # the solves stop before their couplings reach subnormals
+    # no division by zero, overflow or invalid operation; underflow rounds,
+    # in corbis's Gaussian tails too (the solves' couplings stop before
+    # subnormals: `test_solve_of_a_dominant_system_raises_nothing`)
     cfg = harness.preset_config(preset, **{
         "grid.cells": str(cells), "run.t_end": "0.002",
         "scheme.formulation": formulation})
@@ -420,9 +423,10 @@ def test_unknown_limiter_rejected():
 def hand_run(initial, t_end, g, p, cfg, record_every, windowed=True):
     """run() replayed with the public steppers and diagnostics, each called
     without a workspace, and cfl_dt with a fresh one (for the step's
-    stiffness); the steps update run's window (`solver._window`) unless
-    `windowed` is false, when they update the whole grid.  Returns
-    (snapshots, steps, mass audit, the CFL step of every step taken)."""
+    stiffness); the steps update the cells of run's intervals
+    (`solver._window`), gathered side by side, unless `windowed` is false,
+    when they update the whole grid.  Returns (snapshots, steps, mass
+    audit, the CFL step of every step taken)."""
     effective = cfg.formulation == "effective"
     cls, stepper = ((EffectiveState, step_effective) if effective
                     else (State, step_primitive))
@@ -453,26 +457,26 @@ def hand_run(initial, t_end, g, p, cfg, record_every, windowed=True):
         return s.rho, s.w if effective else s.m
 
     n = g.cells
-    lo, hi = (0, 0) if windowed and cfg.bc == "farfield" else (0, n)
-    sub_g = g
+    bounds = () if windowed and cfg.bc == "farfield" else (0, n)
     snap()
     next_record = record_every
     dt_cfl, stiffness = cfl(state, g)
     while state.t < t_end - tiny:
-        if hi - lo < n:
-            bounds = solver._window(*fields(state), lo, hi, stiffness, p,
+        if bounds != (0, n):
+            bounds = solver._window(*fields(state), bounds, stiffness, p,
                                     cfg, np.empty(n, dtype=bool))
-            if bounds != (lo, hi):
-                lo, hi = bounds
-                sub_g = g if hi - lo == n else solver._window_grid(g, lo, hi)
+        cells = np.concatenate([np.arange(lo, hi) for lo, hi in
+                                zip(bounds[::2], bounds[1::2])])
+        sub_g = (g if len(cells) == n else
+                 solver._window_grid(g, bounds[0], bounds[0] + len(cells)))
         dt = min(dt_cfl, t_end - state.t)
         new, (f_left, f_right) = stepper(
-            cls(*(f[lo:hi] for f in fields(state)), state.t), dt, sub_g, p,
+            cls(*(f[cells] for f in fields(state)), state.t), dt, sub_g, p,
             cfg)
         dts.append(dt_cfl)
         dt_cfl, stiffness = cfl(new, sub_g)
         rho, mom = (f.copy() for f in fields(state))
-        rho[lo:hi], mom[lo:hi] = fields(new)
+        rho[cells], mom[cells] = fields(new)
         state = cls(rho, mom, new.t)
         mass_now = float(np.sum(state.rho)) * g.dx
         defect = abs(mass_now - mass - (f_left - f_right) * dt) / scale
@@ -520,7 +524,8 @@ def test_run_matches_hand_loop_without_workspace(formulation, bc, limiter,
 
 
 def _spy_windows(monkeypatch):
-    # the bounds of every window `run` takes from `solver._window`
+    # the interval bounds of every set of cells `run` takes from
+    # `solver._window`
     windows = []
     window = solver._window
 
@@ -536,12 +541,13 @@ def _spy_windows(monkeypatch):
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_window_run_matches_whole_grid_to_a_few_ulps(preset, formulation,
                                                      monkeypatch):
-    # on a far-field grid a run steps only the cells not at rest, plus a
-    # margin; that changes the state by rounding alone (the cyclic
-    # reduction of a shorter system rounds differently).  Against the whole
-    # grid, rho may move by 8 ulps of its largest value and m by that over
-    # dx (m of an effective run is recovered through d_x phi1(rho)); at
-    # these settings the largest moves are 1 ulp and 0.23 ulp / dx
+    # on a far-field grid a run steps only the cells within a margin of a
+    # face between unequal or moving states; that changes the state by
+    # rounding alone (the cyclic reduction of a shorter system rounds
+    # differently).  Against the whole grid, rho may move by 8 ulps of its
+    # largest value and m by that over dx (m of an effective run is
+    # recovered through d_x phi1(rho)); at these settings the largest moves
+    # are 1 ulp and 0.23 ulp / dx
     g = Grid1D(-20.0, 20.0, 1280)
     spec = preset_scenario(preset)
     p = spec.params
@@ -551,7 +557,19 @@ def test_window_run_matches_whole_grid_to_a_few_ulps(preset, formulation,
     traj = run(initial, 0.05, g, p, cfg, record_every=0.01)
     monkeypatch.undo()
     assert traj.status == "completed"
-    assert max(hi - lo for lo, hi in windows) < 0.5 * g.cells
+    counts = [sum(w[1::2]) - sum(w[::2]) for w in windows]
+    assert traj.cell_steps == sum(counts)
+    assert max(counts) < 0.5 * g.cells
+    if preset == "theo1":
+        # the first steps skip the interior of the plateau, a constant run
+        # at rest, until the margins of its two jumps meet; the old window
+        # took every cell between the outer ones
+        assert len(windows[0]) == 4
+        assert counts[0] < 0.75 * (windows[0][-1] - windows[0][0])
+        assert traj.cell_steps < 0.97 * sum(w[-1] - w[0] for w in windows)
+    else:
+        # the Gaussian of corbis's momentum atom moves every plateau cell
+        assert all(len(w) == 2 for w in windows)
     # the windowed hand loop is the same computation, bit for bit
     snaps, steps, audit, _ = hand_run(initial, 0.05, g, p, cfg, 0.01)
     assert traj.steps == steps > 5
@@ -570,6 +588,69 @@ def test_window_run_matches_whole_grid_to_a_few_ulps(preset, formulation,
         for name, value in dataclasses.asdict(ra).items():
             assert value == pytest.approx(getattr(rb, name), rel=1e-12,
                                           abs=1e-15), name
+
+
+def _stepped(bounds, cells):
+    # the cells of the intervals (lo0, hi0, lo1, hi1, ...) as a mask
+    mask = np.zeros(cells, dtype=bool)
+    for lo, hi in zip(bounds[::2], bounds[1::2]):
+        mask[lo:hi] = True
+    return mask
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_skipped_cells_keep_their_values_bit_for_bit(formulation,
+                                                     monkeypatch):
+    # theo1 at dx = 1/64: the interior of the plateau is skipped at every
+    # step, and it and the far field hold their initial values at every
+    # record (m of an effective record is recovered through d_x phi1(rho),
+    # so it is compared where both neighbours are skipped too)
+    g = Grid1D(-20.0, 20.0, 2560)
+    spec = preset_scenario("theo1")
+    cfg = SchemeConfig(formulation=formulation)
+    initial = initial_state(build_scenario(spec, g), g, spec.params, cfg)
+    windows = _spy_windows(monkeypatch)
+    traj = run(initial, 0.01, g, spec.params, cfg, record_every=0.0025)
+    assert traj.status == "completed" and len(traj.snapshots) == 5
+    skipped = ~_stepped(windows[-1], g.cells)
+    x = g.centers()
+    assert skipped[(x > 3.0) & (x < 5.0)].all()
+    inner = skipped.copy()
+    inner[1:] &= skipped[:-1]
+    inner[:-1] &= skipped[1:]
+    m_cells = skipped if formulation == "primitive" else inner
+    first = traj.snapshots[0][0]
+    for s, _ in traj.snapshots[1:]:
+        assert s.rho[skipped].tobytes() == first.rho[skipped].tobytes()
+        assert s.m[m_cells].tobytes() == first.m[m_cells].tobytes()
+
+
+def test_moving_and_edge_runs_are_stepped():
+    # a face is active between unequal states, beside a moving one, and at
+    # the grid's edge beside a value other than the far field's (rho_bar =
+    # 1): a constant run with momentum is stepped whole, and one at the
+    # edge of the grid near its edge face as well as near its inner one; a
+    # run at rest keeps only its interior, at this stiffness all but 40
+    # cells from either end, out of the step
+    n = 1024
+    p = Params()
+    cfg = SchemeConfig()
+    rho, m = np.ones(n), np.zeros(n)
+    rho[:300] = 1.5
+    rho[500:900] = 2.0
+    mask = np.empty(n + 4, dtype=bool)
+    at_rest = solver._window(rho, m, (), 10.0, p, cfg, mask)
+    assert at_rest == (0, 40, 256, 344, 456, 544, 856, 944)
+    # only the stepped cells are scanned, and the set does not shrink
+    assert solver._window(rho, m, at_rest, 10.0, p, cfg, mask) == at_rest
+    m[500:900] = 0.1
+    moving = solver._window(rho, m, (), 10.0, p, cfg, mask)
+    assert moving == (0, 40, 256, 344, 456, 944)
+    m[:] = 0.0
+    assert solver._window(rho, m, moving, 10.0, p, cfg, mask) == moving
+    rho[:300] = 1.0
+    assert solver._window(rho, m, (), 10.0, p, cfg, mask) == (456, 544, 856,
+                                                             944)
 
 
 @pytest.mark.parametrize("cells", [300, 1000, 4097])
