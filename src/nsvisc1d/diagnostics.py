@@ -73,12 +73,10 @@ def energy(s: State, g: Grid1D, p: Params) -> float:
 
 def _kinetic_plus_potential(rho, mom, g: Grid1D, p: Params) -> float:
     # 0.5 * integral(rho*(mom/rho)**2 + pi_rel(rho)), holding at most three
-    # cell arrays at once; the tiny velocities of a far field (a Gaussian's
-    # tails) and their squares round to subnormals and zero as they should
-    with np.errstate(under="ignore"):
-        vel = mom / rho
-        density = np.multiply(rho, vel)
-        density *= vel
+    # cell arrays at once
+    vel = mom / rho
+    density = np.multiply(rho, vel)
+    density *= vel
     del vel
     density += pi_rel(rho, p)
     return float(0.5 * np.sum(density) * g.dx)

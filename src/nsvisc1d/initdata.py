@@ -40,9 +40,16 @@ class ParameterError(ValueError):
     pass
 
 
+def _gauss(e: np.ndarray) -> np.ndarray:
+    # exp(e) down to 2**-60, the solver's rounding level, and exactly 0 below
+    # (a far field at rest), evaluated only where it is kept (NaN included)
+    return np.exp(e, out=np.zeros_like(e), where=~(e < -60.0 * math.log(2.0)))
+
+
 @dataclass(frozen=True)
 class Profile:
-    """Declarative 1D profile: 'zero' or 'gauss' (center, amplitude, width)."""
+    """Declarative 1D profile: 'zero' or 'gauss' (center, amplitude, width),
+    exactly 0 below 2**-60 of its peak (beyond sqrt(120 ln 2) widths)."""
 
     kind: str = "zero"
     center: float = 0.0
@@ -54,7 +61,7 @@ class Profile:
             return np.zeros_like(x)
         if self.kind == "gauss":
             z = (x - self.center) / self.width
-            return self.amplitude * np.exp(-0.5 * z * z)
+            return self.amplitude * _gauss(-0.5 * z * z)
         raise ValueError(f"unknown profile kind {self.kind!r}")
 
 
@@ -147,19 +154,16 @@ def heat_mollify(data, tau: float, g: Grid1D) -> MollifiedField:
 
     `data` is either a sampled cell field (discrete convolution, edge-padded)
     or a list of (location, mass) atoms (each mapped to the analytic heat
-    kernel sampled at cell centers).
+    kernel sampled at cell centers, exactly 0 below 2**-60 of its peak).
     """
     if tau <= 0:
         raise ParameterError("mollification time must be positive")
     if isinstance(data, (list, tuple)):
         x = g.centers()
         out = np.zeros(g.cells)
-        # far from an atom its Gaussian underflows, rounding to subnormals
-        # and zero as it should
-        with np.errstate(under="ignore"):
-            for x0, mass in data:
-                out += mass * np.exp(-(x - x0) ** 2 / (4.0 * tau)) \
-                    / math.sqrt(4.0 * math.pi * tau)
+        for x0, mass in data:
+            out += mass * _gauss(-(x - x0) ** 2 / (4.0 * tau)) \
+                / math.sqrt(4.0 * math.pi * tau)
         clipped = 8.0 * math.sqrt(2.0 * tau) > 0.5 * (g.x_max - g.x_min)
         return MollifiedField(out, clipped)
     data = np.asarray(data, dtype=float)
@@ -197,7 +201,8 @@ def build_scenario(spec: ScenarioSpec, g: Grid1D) -> BuiltScenario:
     The raw BV density and momentum are built first (the effective-momentum
     coupling uses the shared centered gradient, edge-padded so its discrete
     integral telescopes to the exact transform jump), then both fields are
-    smoothed by the heat semigroup at the mollification time."""
+    smoothed by the heat semigroup at the mollification time, which keeps
+    the cut Gaussians' zeros: the far field is at exact rest (rho_bar, 0)."""
     spec.validate()
     p = spec.params
     warnings = []

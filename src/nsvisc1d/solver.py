@@ -873,10 +873,6 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-# a state may hold values near the underflow threshold, as the tails of a
-# mollified atom's Gaussian do, where any arithmetic rounds to subnormals or
-# zero as IEEE prescribes
-@np.errstate(under="ignore")
 def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
         p: Params, cfg: SchemeConfig, record_every: float | None = None,
         source: Source = None, jump_x0: float = 0.0) -> Trajectory:
@@ -893,10 +889,11 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     `cfl_dt` call per step; two neighbours there meet inside a constant run
     at rest, so their face is that of two equal rest cells, and the new
     values go back to their cells.  The other cells keep their values bit
-    for bit.  The set is the whole grid on a periodic grid, with a source,
-    and when no constant run at rest is long enough to skip or no face is
-    active.  Records, the mass audit and the per-step integrals read the
-    whole state; `Trajectory.cell_steps` sums the cells stepped."""
+    for bit (the initial data's Gaussians are exactly 0 in the far field).
+    The set is the whole grid on a periodic grid, with a source, and when
+    no constant run at rest is long enough to skip or no face is active.
+    Records, the mass audit and the per-step integrals read the whole
+    state; `Trajectory.cell_steps` sums the cells stepped."""
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError("t_end must be nonnegative and finite")
     if record_every is not None and not (math.isfinite(record_every)

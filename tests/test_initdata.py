@@ -65,6 +65,55 @@ def test_mollify_atom_route_matches_array_route():
     assert np.sum(np.abs(arr - atom)) * g.dx < 1e-4
 
 
+def _sides_of_cut(e):
+    # cells whose exponent e is clearly above and clearly below -60 ln 2,
+    # where a Gaussian is 2**-60 of its peak
+    cut = 60.0 * math.log(2.0)
+    return e > -cut * (1 - 1e-9), e < -cut * (1 + 1e-9)
+
+
+def test_gaussians_are_exactly_zero_beyond_the_cut():
+    # the profile and an atom's heat kernel are their closed forms, byte for
+    # byte, down to 2**-60 of the peak, and exactly 0 below: the far field
+    # is at rest
+    g = grid(cells=4000, lo=-20.0, hi=20.0)
+    x = g.centers()
+    z = (x - 0.3) / 1.1
+    e = -0.5 * z * z
+    with np.errstate(under="ignore"):
+        closed = 0.7 * np.exp(e)
+    got = Profile("gauss", center=0.3, amplitude=0.7, width=1.1).sample(x)
+    inside, outside = _sides_of_cut(e)
+    tau = 0.05
+    e = -(x + 2.5) ** 2 / (4.0 * tau)
+    with np.errstate(under="ignore"):
+        closed_atom = -0.2 * np.exp(e) / math.sqrt(4.0 * math.pi * tau)
+    atom = heat_mollify([(-2.5, -0.2)], tau, g).values
+    inside_atom, outside_atom = _sides_of_cut(e)
+    for values, exact, ins, out in ((got, closed, inside, outside),
+                                    (atom, closed_atom, inside_atom,
+                                     outside_atom)):
+        assert ins.sum() > 100 and out.sum() > 100
+        assert values[ins].tobytes() == exact[ins].tobytes()
+        assert values[out].tobytes() == np.zeros(out.sum()).tobytes()
+        assert np.any(exact[out] != 0.0)
+        assert np.all(ins | out)
+
+
+def test_gaussians_far_beyond_the_cut_raise_nothing():
+    # 1e4 widths from the centre the exponential would underflow; it is
+    # not evaluated there
+    prof = Profile("gauss", center=1.0, amplitude=0.1, width=0.5)
+    x = 1.0 + 0.5 * np.array([-1e4, 0.0, 1e4])
+    g = grid(cells=5)  # centres 0, +-4, +-8
+    tau = 0.5 * (8.0 / 1e4) ** 2  # width sqrt(2 tau): +-8 is 1e4 widths
+    with np.errstate(all="raise"):
+        assert prof.sample(x).tolist() == [0.0, 0.1, 0.0]
+        atom = heat_mollify([(0.0, 1.0)], tau, g).values
+    assert atom[2] > 0.0
+    assert atom[[0, 1, 3, 4]].tolist() == [0.0] * 4
+
+
 def test_mollify_rejects_nonpositive_tau():
     g = grid()
     with pytest.raises(ParameterError):
@@ -275,5 +324,7 @@ def test_profile_kinds():
     np.testing.assert_array_equal(Profile("zero").sample(x), 0.0)
     gau = Profile("gauss", center=0.0, amplitude=2.0, width=0.5).sample(x)
     assert gau[5] == pytest.approx(2.0)
+    # the cut to exact zeros keeps a NaN a NaN
+    assert np.isnan(Profile("gauss", center=np.nan).sample(x)).all()
     with pytest.raises(ValueError):
         Profile("step").sample(x)

@@ -160,9 +160,10 @@ def test_solve_of_a_dominant_system_raises_nothing():
     ("corbis", 5120)])
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_runs_raise_no_floating_point_error(preset, cells, formulation):
-    # no division by zero, overflow or invalid operation; underflow rounds,
-    # in corbis's Gaussian tails too (the solves' couplings stop before
-    # subnormals: `test_solve_of_a_dominant_system_raises_nothing`)
+    # no division by zero, overflow, invalid operation or underflow: the
+    # initial data's Gaussians are exactly 0 below 2**-60 of their peak, and
+    # the solves' couplings stop before subnormals
+    # (`test_solve_of_a_dominant_system_raises_nothing`)
     cfg = harness.preset_config(preset, **{
         "grid.cells": str(cells), "run.t_end": "0.002",
         "scheme.formulation": formulation})
@@ -537,7 +538,7 @@ def _spy_windows(monkeypatch):
     return windows
 
 
-@pytest.mark.parametrize("preset", ["theo1", "corbis"])
+@pytest.mark.parametrize("preset", ["theo1", "corbis", "hoff"])
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_window_run_matches_whole_grid_to_a_few_ulps(preset, formulation,
                                                      monkeypatch):
@@ -547,7 +548,7 @@ def test_window_run_matches_whole_grid_to_a_few_ulps(preset, formulation,
     # differently).  Against the whole grid, rho may move by 8 ulps of its
     # largest value and m by that over dx (m of an effective run is
     # recovered through d_x phi1(rho)); at these settings the largest moves
-    # are 1 ulp and 0.23 ulp / dx
+    # are 1 ulp and 0.16 ulp / dx
     g = Grid1D(-20.0, 20.0, 1280)
     spec = preset_scenario(preset)
     p = spec.params
@@ -559,17 +560,24 @@ def test_window_run_matches_whole_grid_to_a_few_ulps(preset, formulation,
     assert traj.status == "completed"
     counts = [sum(w[1::2]) - sum(w[::2]) for w in windows]
     assert traj.cell_steps == sum(counts)
-    assert max(counts) < 0.5 * g.cells
-    if preset == "theo1":
+    if preset == "hoff":
+        # u0's Gaussian, exactly 0 beyond 9.12 widths (2**-60 of its peak),
+        # moves the plateau and the cells around it, so one interval of at
+        # most 800 cells is stepped and the far field beyond it is not
+        assert windows[0] == (256, 1024)
+        assert max(counts) <= 0.625 * g.cells
+    else:
         # the first steps skip the interior of the plateau, a constant run
-        # at rest, until the margins of its two jumps meet; the old window
-        # took every cell between the outer ones
+        # at rest, until the margins of its two jumps meet: corbis's atom
+        # moves only the cells near its centre, the plateau's left edge
+        assert max(counts) < 0.5 * g.cells
         assert len(windows[0]) == 4
+    if preset == "theo1":
+        # the old window took every cell between the outer ones
         assert counts[0] < 0.75 * (windows[0][-1] - windows[0][0])
         assert traj.cell_steps < 0.97 * sum(w[-1] - w[0] for w in windows)
-    else:
-        # the Gaussian of corbis's momentum atom moves every plateau cell
-        assert all(len(w) == 2 for w in windows)
+    if preset == "corbis":
+        assert windows[0] == (544, 736, 808, 984)
     # the windowed hand loop is the same computation, bit for bit
     snaps, steps, audit, _ = hand_run(initial, 0.05, g, p, cfg, 0.01)
     assert traj.steps == steps > 5
@@ -666,23 +674,19 @@ def test_window_grid_keeps_dx_bit_for_bit(cells):
                                        rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("preset, bc", [("theo1", "periodic"),
-                                        ("hoff", "farfield")])
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
-def test_periodic_and_hoff_runs_step_the_whole_grid(preset, bc, formulation,
-                                                     monkeypatch):
-    # a periodic grid has no far field, and hoff's Gaussian u0 leaves no
-    # cell at rest: the window is the whole grid, found by at most one scan,
-    # and the run is the whole-grid loop bit for bit
+def test_periodic_runs_step_the_whole_grid(formulation, monkeypatch):
+    # a periodic grid has no far field: the window is the whole grid,
+    # found without a scan, and the run is the whole-grid loop bit for bit
     g = Grid1D(-20.0, 20.0, 640)
-    spec = preset_scenario(preset)
+    spec = preset_scenario("theo1")
     p = spec.params
-    cfg = SchemeConfig(formulation=formulation, bc=bc)
+    cfg = SchemeConfig(formulation=formulation, bc="periodic")
     initial = initial_state(build_scenario(spec, g), g, p, cfg)
     windows = _spy_windows(monkeypatch)
     traj = run(initial, 0.1, g, p, cfg, record_every=0.02)
     monkeypatch.undo()
-    assert windows == ([] if bc == "periodic" else [(0, g.cells)])
+    assert windows == []
     snaps, steps, audit, _ = hand_run(initial, 0.1, g, p, cfg, 0.02,
                                       windowed=False)
     assert traj.status == "completed"
@@ -691,6 +695,18 @@ def test_periodic_and_hoff_runs_step_the_whole_grid(preset, bc, formulation,
         [_bytes(s) for s, _ in snaps]
     assert traj.records == [r for _, r in snaps]
     assert (traj.mass_error_max, traj.mass_error_accum) == audit
+
+
+def test_hoff_effective_run_skips_its_far_field():
+    # u0 is exactly 0 beyond its cut, so at the benchmark's size (10,240
+    # cells to t = 0.004) the run skips its far field and steps under half
+    # of its cell-steps (49 %, one interval of 5,056 cells)
+    cfg = harness.preset_config("hoff", **{
+        "grid.cells": "10240", "run.t_end": "0.004",
+        "scheme.formulation": "effective"})
+    traj = harness.simulate(cfg)
+    assert traj.status == "completed" and traj.steps > 5
+    assert traj.cell_steps < 0.5 * traj.steps * cfg.grid.cells
 
 
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
