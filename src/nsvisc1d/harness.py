@@ -147,7 +147,6 @@ CONFIG_KEYS = {
     "scenario.mollify_tau": ("scenario", "mollify_tau", _tau),
     "scheme.formulation": ("scheme", "formulation", str),
     "scheme.cfl_safety": ("scheme", "cfl_safety", float),
-    "scheme.flux": ("scheme", "flux", str),
     "scheme.limiter": ("scheme", "limiter", str),
     "scheme.max_steps": ("scheme", "max_steps", int),
     "scheme.bc": ("scheme", "bc", str),
@@ -211,8 +210,6 @@ def config_from_mapping(raw: dict) -> RunConfig:
     params = build("params", base.params if base else Params())
     grid = build("grid", Grid1D(-20.0, 20.0, 1024))
     scheme = build("scheme", SchemeConfig())
-    if "flux" in fields["scheme"] and scheme.formulation == "effective":
-        errors.append("scheme.flux: applies only to the primitive formulation")
     study = build("study", StudySpec())
     # without a preset the density defaults to the (overridden) rho_bar
     scenario = replace(base or ScenarioSpec("custom", params,

@@ -101,6 +101,13 @@ class ScenarioSpec:
         if self.momentum_atoms and self.mollify_tau is not None \
                 and self.mollify_tau <= 0:
             bad.append("momentum atoms require a positive mollification time")
+        # `build_scenario` reads one velocity profile per kind, both for custom
+        unread = {"theo1-strong-coupling": "u0", "theo2-constant-visc": "u0",
+                  "corbis-weak-coupling": "v0",
+                  "hoff-L2-velocity": "v0"}.get(self.kind)
+        if unread and getattr(self, unread).kind != "zero":
+            bad.append(f"{self.kind} data do not read {unread}: it must be "
+                       "zero")
         if self.kind == "theo1-strong-coupling":
             if p.alpha <= 0:
                 bad.append("strong-coupling regime requires alpha > 0")

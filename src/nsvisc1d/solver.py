@@ -9,8 +9,8 @@ is limited by the advective CFL bound |u| + c alone.  The couplings of a
 dominant system shrink quadratically per reduction level (Heller 1976), so
 the reduction stops at the first level whose rows have decoupled to
 2**-60 of their diagonal (`solve_tridiagonal`).
-Primitive: the mass and momentum fluxes (MUSCL-reconstructed Rusanov or
-upwind interface states, `_primitive_flux`) are explicit; the viscous term
+Primitive: the mass and momentum fluxes (Rusanov, at MUSCL-reconstructed
+interface states, `_primitive_flux`) are explicit; the viscous term
 (mu_n(rho) u_x)_x, a centered flux with harmonic face viscosity, is solved
 for u with rho frozen at the stage density, which makes it linear, so one
 solve per stage is exact (`_implicit_viscosity`).
@@ -23,12 +23,12 @@ face weights frozen at the stage's starting density and then at the first
 solution (`_implicit_diffusion`).
 
 The parts share one frame: pad the state (`_pad2`), reconstruct the faces
-(`_faces`), upwind or Rusanov face fluxes (`_upwind`), harmonic face means
-of the viscosity or diffusivity (`_harmonic_mean`), the implicit solve for
-an increment (`_solve_increment`) and its face flux (`_gradient_flux`, or
-`_face_flux` with the fitted weights of `_fitted_faces`), the conservative
-update (`_update`), sources and cell rates (`_add_source`) and the vacuum
-floor (`_check_floor`).
+(`_faces`), the upwind face flux of the convection of w (`_upwind`),
+harmonic face means of the viscosity or diffusivity (`_harmonic_mean`), the
+implicit solve for an increment (`_solve_increment`) and its face flux
+(`_gradient_flux`, or `_face_flux` with the fitted weights of
+`_fitted_faces`), the conservative update (`_update`), sources and cell
+rates (`_add_source`) and the vacuum floor (`_check_floor`).
 The cell velocities v = w/rho and u = v - d_x phi(rho) of an effective
 state have one definition (`_velocities`), shared by `cfl_dt` and the
 explicit stage.  `run` hands the steppers only the cells within the reach of
@@ -70,7 +70,6 @@ Source = Optional[Callable[[np.ndarray, float], tuple]]
 class SchemeConfig:
     formulation: str = "primitive"   # "primitive" | "effective"
     cfl_safety: float = 0.4
-    flux: str = "rusanov"            # "rusanov" | "upwind"
     limiter: str = "mc"              # "mc" | "minmod" | "none"
     max_steps: int = 5_000_000
     bc: str = "farfield"             # "farfield" | "periodic"
@@ -80,8 +79,6 @@ class SchemeConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.formulation not in ("primitive", "effective"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
-        if self.flux not in ("rusanov", "upwind"):
-            raise ValueError(f"unknown flux {self.flux!r}")
         if self.limiter not in ("mc", "minmod", "none"):
             raise ValueError(f"unknown limiter {self.limiter!r}")
         if self.bc not in ("farfield", "periodic"):
@@ -313,8 +310,8 @@ GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 def _primitive_flux(rho, m, g: Grid1D, p: Params, cfg: SchemeConfig,
                     ws: Workspace, out_mass, out_mom, rate):
     # explicit part at a width-2 padded stage (rho, m): the mass and the
-    # momentum (convection plus pressure) face fluxes, Rusanov or upwind,
-    # on the cells+1 faces of the rows out_mass and out_mom; returns the
+    # momentum (convection plus pressure) Rusanov face fluxes on the
+    # cells+1 faces of the rows out_mass and out_mom; returns the
     # momentum flux and no cell rate (rate is not written).  Scratch
     # tmp[0..4]
     nf = len(rho) - 3
@@ -322,33 +319,22 @@ def _primitive_flux(rho, m, g: Grid1D, p: Params, cfg: SchemeConfig,
     rhoL, rhoR = _faces(rho, cfg.limiter, t[0], t[1], t[2], t[3], ws.mask)
     mL, mR = _faces(m, cfg.limiter, out_mass, t[4], t[2], t[3], ws.mask)
     a, y, z = t[2][:nf], out_mom[:nf], t[3][:nf]
-    if cfg.flux == "rusanov":
-        # 0.5 * the larger wave speed |u| + c of the two sides, into a
-        half_smax = np.abs(np.divide(mL, rhoL, out=a), out=a)
-        half_smax += sound_speed(rhoL, p, out=z)
-        speed_R = np.abs(np.divide(mR, rhoR, out=y), out=y)
-        speed_R += sound_speed(rhoR, p, out=z)
-        np.maximum(half_smax, speed_R, out=half_smax)
-        half_smax *= 0.5
-        f_mom = np.multiply(np.divide(mL, rhoL, out=y), mL, out=y)
-        f_mom += pressure(rhoL, p, out=z)
-        f_mom += np.multiply(np.divide(mR, rhoR, out=z), mR, out=z)
-        f_mom += pressure(rhoR, p, out=z)
-        f_mom *= 0.5
-        f_mom -= np.multiply(half_smax, np.subtract(mR, mL, out=z), out=z)
-        f_mass = np.add(mL, mR, out=mL)
-        f_mass *= 0.5
-        f_mass -= np.multiply(half_smax, np.subtract(rhoR, rhoL, out=z), out=z)
-    else:  # upwind convection, centered pressure
-        ubar = np.divide(mL, rhoL, out=a)
-        ubar += np.divide(mR, rhoR, out=z)
-        ubar *= 0.5
-        f_mom = _upwind(ubar, mL, mR, y, ws.mask)
-        f_mass = _upwind(ubar, rhoL, rhoR, mL, ws.mask)
-        pbar = np.add(pressure(rhoL, p, out=z), pressure(rhoR, p, out=ubar),
-                      out=z)
-        pbar *= 0.5
-        f_mom += pbar
+    # 0.5 * the larger wave speed |u| + c of the two sides, into a
+    half_smax = np.abs(np.divide(mL, rhoL, out=a), out=a)
+    half_smax += sound_speed(rhoL, p, out=z)
+    speed_R = np.abs(np.divide(mR, rhoR, out=y), out=y)
+    speed_R += sound_speed(rhoR, p, out=z)
+    np.maximum(half_smax, speed_R, out=half_smax)
+    half_smax *= 0.5
+    f_mom = np.multiply(np.divide(mL, rhoL, out=y), mL, out=y)
+    f_mom += pressure(rhoL, p, out=z)
+    f_mom += np.multiply(np.divide(mR, rhoR, out=z), mR, out=z)
+    f_mom += pressure(rhoR, p, out=z)
+    f_mom *= 0.5
+    f_mom -= np.multiply(half_smax, np.subtract(mR, mL, out=z), out=z)
+    f_mass = np.add(mL, mR, out=mL)
+    f_mass *= 0.5
+    f_mass -= np.multiply(half_smax, np.subtract(rhoR, rhoL, out=z), out=z)
     return [f_mom], []
 
 

@@ -94,7 +94,8 @@ def test_criterion_02_equilibrium_fixed_point():
         cfg = SchemeConfig(formulation=formulation)
         s = cls(np.full(g.cells, p.rho_bar), np.zeros(g.cells))
         field = "w" if formulation == "effective" else "m"
-        # one workspace for all the steps, with run's swap: the replaced
+        # one workspace for all the steps, its spare pair swapped with the
+        # state after each (run copies the pair back instead): the replaced
         # state's arrays receive the next step
         ws = Workspace(g.cells, formulation)
         dt = cfl_dt(s, g, p, cfg, ws=ws)

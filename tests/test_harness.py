@@ -183,16 +183,44 @@ def test_cli_bad_value_exits_2(override, tmp_path, capsys):
     assert err.startswith(f"config error: {override.split('.')[0]}")
 
 
-def test_cli_flux_on_effective_exits_2(tmp_path, capsys):
-    # the effective stepper always upwinds, so a flux choice there is an
+def test_cli_flux_key_exits_2(tmp_path, capsys):
+    # the primitive flux is Rusanov alone, so scheme.flux is no key under
+    # either formulation
+    for formulation in ("primitive", "effective"):
+        code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
+                         "--override", f"scheme.formulation={formulation}",
+                         "--override", "scheme.flux=rusanov"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "config error: unknown key 'scheme.flux'\n"
+
+
+@pytest.mark.parametrize("preset, kind, unread", [
+    ("theo1", "theo1-strong-coupling", "u0"),
+    ("hoff", "hoff-L2-velocity", "v0")])
+def test_cli_unread_velocity_profile_exits_2(preset, kind, unread, tmp_path,
+                                            capsys):
+    # a kind builds its momentum from one of v0 and u0: the other is an
     # error, not a silent no-op
-    code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
-                     "--override", "scheme.formulation=effective",
-                     "--override", "scheme.flux=upwind"])
+    code = cli.main(["run", "--preset", preset, "--out", str(tmp_path),
+                     "--override", f"scenario.{unread}=gauss:0,0.5,1"])
     assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith(
-        "config error: scheme.flux: applies only to the primitive "
-        "formulation")
+    assert capsys.readouterr().err == \
+        f"config error: {kind} data do not read {unread}: it must be zero\n"
+
+
+def test_readme_cli_table_lists_every_config_key():
+    # the backticked keys in the first column of the README's CLI key table
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        readme = fh.read()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in cli_section.splitlines():
+        if line.startswith("| `"):
+            keys.update(line.split("|")[1].replace("`", "").replace(
+                ",", " ").split())
+    assert keys == set(CONFIG_KEYS)
 
 
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):
@@ -604,7 +632,6 @@ _E2E_VALUES = {
     "scenario.mollify_tau": (["auto", "0", "0.01"], ["-1"]),
     "scheme.formulation": (["primitive", "effective"], ["other"]),
     "scheme.cfl_safety": (["0.4", "1", "1e-9"], ["0"]),
-    "scheme.flux": (["rusanov", "upwind"], ["roe"]),
     "scheme.limiter": (["mc", "minmod", "none"], ["superbee"]),
     "scheme.bc": (["farfield", "periodic"], ["edge"]),
     "run.record_every": (["0", "0.001", "0.004", "1e-300", "5e-324"],

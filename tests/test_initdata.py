@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nsvisc1d import Grid1D, Params, to_effective
+from nsvisc1d.core import centered_gradient, phi1
 from nsvisc1d.initdata import (
     DEFAULT_EPS0,
     PRESET_NAMES,
@@ -201,6 +202,27 @@ def test_validate_constant_visc_constraints():
         spec(kind="theo2-constant-visc", params=Params(alpha=1.0)).validate()
 
 
+@pytest.mark.parametrize("kind, alpha, read, unread", [
+    ("theo1-strong-coupling", 1.0, "v0", "u0"),
+    ("theo2-constant-visc", 0.0, "v0", "u0"),
+    ("corbis-weak-coupling", 1.0, "u0", "v0"),
+    ("hoff-L2-velocity", 0.0, "u0", "v0")])
+def test_validate_rejects_the_profile_a_kind_does_not_read(kind, alpha, read,
+                                                          unread):
+    gauss = Profile("gauss", center=0.0, amplitude=0.5, width=1.0)
+    spec(kind=kind, params=Params(alpha=alpha), **{read: gauss}).validate()
+    with pytest.raises(ScenarioValidationError) as exc:
+        spec(kind=kind, params=Params(alpha=alpha),
+             **{unread: gauss}).validate()
+    assert exc.value.violations == [
+        f"{kind} data do not read {unread}: it must be zero"]
+
+
+def test_validate_custom_reads_both_profiles():
+    gauss = Profile("gauss", center=0.0, amplitude=0.5, width=1.0)
+    spec(kind="custom", u0=gauss, v0=gauss).validate()
+
+
 def test_validate_atoms_need_positive_tau():
     with pytest.raises(ScenarioValidationError):
         spec(kind="corbis-weak-coupling", momentum_atoms=((0.0, 0.1),),
@@ -280,6 +302,27 @@ def test_build_hoff_velocity_profile():
     built = build_scenario(s, g)
     u = built.state.m / built.state.rho
     assert np.max(u) == pytest.approx(0.2, rel=1e-2)
+
+
+def test_build_custom_effective_velocity_profile():
+    # custom data with v0 take m0 = rho0 v0 - d_x phi1(rho0) (u0 is zero):
+    # unmollified, with edges at rho_bar, their effective momentum is
+    # rho0 v0 to rounding
+    g = grid(cells=512)
+    p = Params(alpha=1.0)
+    v0 = Profile("gauss", center=0.0, amplitude=0.5, width=1.0)
+    s = ScenarioSpec(kind="custom", params=p, density_breaks=(-2.0, 2.0),
+                     density_values=(1.0, 2.0, 1.0), v0=v0, mollify_tau=0.0)
+    built = build_scenario(s, g)
+    rho0 = piecewise_density(s.density_breaks, s.density_values, g)
+    assert np.array_equal(built.state.rho, rho0)
+    rho_v0 = rho0 * v0.sample(g.centers())
+    grad_phi1 = centered_gradient(phi1(rho0, p), g, mode="edge")
+    assert np.max(np.abs(grad_phi1)) > 1.0
+    rounding = 4 * np.finfo(float).eps * np.max(np.abs(grad_phi1))
+    assert np.max(np.abs(built.state.m - (rho_v0 - grad_phi1))) <= rounding
+    w = to_effective(built.state, g, p).w
+    assert np.max(np.abs(w - rho_v0)) <= rounding
 
 
 # ---------------------------------------------------------------------------
