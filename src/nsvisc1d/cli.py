@@ -55,13 +55,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args)
-    except harness.ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return harness.EXIT_VALIDATION
-
-    out = args.out or cfg.output_dir
-    try:
+        out = args.out or cfg.output_dir
         harness.make_output_dir(out)
         if args.command == "run":
             code = harness.run_scenario(cfg, out)

@@ -98,6 +98,8 @@ class Grid1D:
             raise ValueError("domain bounds must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("empty domain")
+        if not 0 < self.dx * self.dx < math.inf:
+            raise ValueError("dx**2 must be a positive finite number")
 
     @property
     def dx(self) -> float:

@@ -120,7 +120,10 @@ def _profile(text: str) -> Profile:
 
 
 def _tau(text: str) -> float | None:
-    return None if text in ("auto", "grid") else _finite(text)
+    tau = None if text in ("auto", "grid") else _finite(text)
+    if tau is not None and tau < 0:
+        raise ValueError("expected auto, grid or a time >= 0")
+    return tau
 
 
 #: Every accepted config key -> (target, field, parser).  The targets are

@@ -146,11 +146,12 @@ class MollifiedField:
     support_clipped: bool = False
 
 
-def _kernel(tau: float, dx: float) -> np.ndarray:
-    # Gaussian heat kernel of variance 2*tau, truncated at 8 sigma and
-    # renormalized so that cell sums (hence integrals) are preserved exactly.
+def _kernel(tau: float, dx: float, cells: int) -> np.ndarray:
+    # Gaussian heat kernel of variance 2*tau, truncated at 8 sigma, or at
+    # `cells` cells when that is narrower, and renormalized so that cell
+    # sums (hence integrals) are preserved exactly.
     sigma = math.sqrt(2.0 * tau)
-    half = max(1, int(math.ceil(8.0 * sigma / dx)))
+    half = max(1, math.ceil(min(8.0 * sigma / dx, cells)))
     offsets = np.arange(-half, half + 1) * dx
     w = np.exp(-offsets * offsets / (4.0 * tau))
     return w / w.sum()
@@ -174,11 +175,19 @@ def heat_mollify(data, tau: float, g: Grid1D) -> MollifiedField:
         clipped = 8.0 * math.sqrt(2.0 * tau) > 0.5 * (g.x_max - g.x_min)
         return MollifiedField(out, clipped)
     data = np.asarray(data, dtype=float)
-    w = _kernel(tau, g.dx)
+    w = _kernel(tau, g.dx, g.cells)
     half = (len(w) - 1) // 2
     clipped = len(w) > g.cells
     ext = np.pad(data, half, mode="edge")
-    return MollifiedField(np.convolve(ext, w, mode="valid"), clipped)
+    # output i is the dot product of w with ext[i:i + 2 half + 1], exactly
+    # +0 where that window holds only +0: convolve only the outputs whose
+    # window reaches an entry of other bits (nonzero, -0 or NaN)
+    out = np.zeros(g.cells)
+    live = np.flatnonzero(ext.view(np.uint64))
+    if len(live):
+        lo, hi = max(live[0] - 2 * half, 0), min(live[-1] + 1, g.cells)
+        out[lo:hi] = np.convolve(ext[lo:hi + 2 * half], w, mode="valid")
+    return MollifiedField(out, clipped)
 
 
 def make_dirac_momentum(atoms, tau: float, g: Grid1D) -> np.ndarray:

@@ -77,6 +77,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be nonnegative")
         if self.formulation not in ("primitive", "effective"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.limiter not in ("mc", "minmod", "none"):
@@ -132,10 +134,11 @@ class Workspace:
     12, so a workspace holds 13 or 16 cell-sized arrays.
     They are allocated as two blocks, the spare pair apart, so that a state
     a stepper returns does not keep the scratch alive; every row starts on
-    a 64-byte boundary.  A workspace is private to one run, and `window`
-    cuts it to the number of cells a run steps.  `cfl_dt` notes in
-    `stiffness` the ratio of its advective step to the explicit diffusive
-    limit 0.5 * dx**2 * min(rho / mu_n(rho)) (the same for the primitive
+    a 64-byte boundary.  A workspace is private to one run; a step or
+    `cfl_dt` on fewer cells uses the start of each row, as many entries as
+    the state's cells take.  `cfl_dt` notes in `stiffness` the ratio of its
+    advective step to the explicit diffusive limit
+    0.5 * dx**2 * min(rho / mu_n(rho)) (the same for the primitive
     viscosity and the effective diffusivity mu_n(rho)/rho): the factor by
     which the implicit solves lengthen the step, from which `run` sizes
     the margin of its window.
@@ -149,17 +152,6 @@ class Workspace:
         self.spare = tuple(_aligned_rows(2, cells))
         self.mask = np.empty(cells + 4, dtype=bool)
         self.stiffness = None
-
-    def window(self, cells: int) -> "Workspace":
-        """A workspace for `cells` cells on this one's memory: each array
-        cut to the length that many cells take."""
-        sub = Workspace.__new__(Workspace)
-        sub.rho, sub.mom = self.rho[:cells + 4], self.mom[:cells + 4]
-        sub.tmp = [t[:cells + 4] for t in self.tmp]
-        sub.spare = tuple(q[:cells] for q in self.spare)
-        sub.mask = self.mask[:cells + 4]
-        sub.stiffness = None
-        return sub
 
 
 def _aligned_rows(rows: int, cells: int) -> list:
@@ -181,11 +173,11 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
     of rho by v = w/rho, so neither v nor dx**2 bounds the step.  Notes the
     step's stiffness in `ws.stiffness`."""
     effective = cfg.formulation == "effective"
-    if ws is None:
-        ws = Workspace(g.cells, cfg.formulation)
     rho = s.rho
     mom = s.w if effective else s.m
     n = len(rho)
+    if ws is None:
+        ws = Workspace(n, cfg.formulation)
     ok = ws.mask[:n]
     if not (np.isfinite(rho, out=ok).all() and np.isfinite(mom, out=ok).all()):
         raise NonFiniteStateError("non-finite density or momentum")
@@ -195,7 +187,8 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
     if effective:
         # only w is explicit, and convection carries it by u = v - d_x
         # phi(rho); the drift by v is implicit
-        _, u = _velocities(*_pad2(rho, mom, p, cfg, ws), g, p, t0, t1, t2)
+        _, u = _velocities(*_pad2(rho, mom, p, cfg, ws), g, p, t0[:n + 4],
+                           t1[:n + 4], t2[:n + 4])
         speed = np.abs(u[1:-1], out=t2[:n])
     else:
         speed = np.abs(np.divide(mom, rho, out=t0[:n]), out=t1[:n])
@@ -257,7 +250,9 @@ def _faces(q: np.ndarray, limiter: str, qL, qR, a, b, mask):
 
 
 def _pad2(s_rho, s_mom, p: Params, cfg: SchemeConfig, ws: Workspace):
-    rho, mom = ws.rho, ws.mom
+    # the state padded by two ghost cells per side, in the workspace's rows
+    # cut to its length
+    rho, mom = ws.rho[:len(s_rho) + 4], ws.mom[:len(s_rho) + 4]
     rho[2:-2] = s_rho
     mom[2:-2] = s_mom
     return (fill_ghosts(rho, 2, cfg.bc, p.rho_bar),
@@ -386,7 +381,7 @@ def _implicit_viscosity(rho, m, k: float, g: Grid1D, p: Params,
     # (ghosts filled) and the solved viscous face flux
     # -mu_face (u_{i+1} - u_i)/dx, with the harmonic face mean of mu_n, into
     # the cells+1 faces of visc.  Scratch tmp[0..5] and the spare pair
-    n = g.cells
+    n = len(rho) - 4
     t = ws.tmp
     mu_c = viscosity(rho[1:-1], p, out=t[1][:n + 2], scratch=t[2][:n + 2])
     mu_face = _harmonic_mean(mu_c, t[0], t[2])
@@ -517,10 +512,11 @@ def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,
     # the pressure relaxation -kappa*(w - rho*u), a cell rate written into
     # rate; returns no explicit flux of rho (own is not written) and the
     # rate of w.  Scratch tmp[0..5]
-    n = g.cells
+    n = len(rho) - 4
     nf = n + 1  # faces
     t = ws.tmp
-    _, u_ext = _velocities(rho, w, g, p, t[0], t[5], t[1])
+    _, u_ext = _velocities(rho, w, g, p, t[0][:n + 4], t[5][:n + 4],
+                           t[1][:n + 4])
     wL, wR = _faces(w, cfg.limiter, t[3], t[4], t[0], t[1], ws.mask)
     ubar = np.add(u_ext[:-1], u_ext[1:], out=t[0][:nf])
     ubar *= 0.5
@@ -599,7 +595,7 @@ def _implicit_diffusion(rho, w, k: float, g: Grid1D, p: Params,
     # which keeps the step second order) and solves for the increment:
     # I - k L has nonpositive off-diagonals and unit column sums at any
     # cell Peclet number, so rho* stays positive.  Scratch tmp[0..8]
-    n = g.cells
+    n = len(rho) - 4
     nf = n + 1
     t = ws.tmp
     left, right, lower, diag, upper = t[0], t[1], t[2], t[3], t[4]
@@ -645,8 +641,11 @@ def _imex_ssp2(y: tuple, t0: float, dt: float, g: Grid1D, p: Params,
     # from tmp[0], the stage outputs tmp[5] and tmp[6] (also the
     # predictor), the rates tmp[-4] and tmp[-3] (written only by a
     # formulation that has one) and the weighted face-flux sums tmp[-2]
-    # and tmp[-1]
-    dx, nf = g.dx, g.cells + 1
+    # and tmp[-1].  The step takes its number of cells from y, and the
+    # start of each row; g gives dx, and a source its cell centers, so y
+    # covers the whole grid when there is a source
+    dx, n = g.dx, len(y[0])
+    nf = n + 1
     o = 1 - j
     t = ws.tmp
     rows = t[-2:]
@@ -685,7 +684,7 @@ def _imex_ssp2(y: tuple, t0: float, dt: float, g: Grid1D, p: Params,
         rates += enumerate(source(g.centers(), t0 + dt))
 
     # the new state in flux form from the weighted stage fluxes and rates
-    new = ws.spare
+    new = tuple(q[:n] for q in ws.spare)
     for c in (0, 1):
         acc[c] *= 0.5
         _update(y[c], acc[c], dt, dx, new[c])
@@ -706,7 +705,7 @@ def step_primitive(s: State, dt: float, g: Grid1D, p: Params,
     so the returned boundary mass fluxes (left, right) are the step-weighted
     ones.  The new State is held in the workspace's spare arrays."""
     if ws is None:
-        ws = Workspace(g.cells, "primitive")
+        ws = Workspace(len(s.rho), "primitive")
     (rho, m), fluxes = _imex_ssp2((s.rho, s.m), s.t, dt, g, p, cfg, source,
                                   ws, 1, _implicit_viscosity, _primitive_flux)
     return State(rho, m, s.t + dt), fluxes
@@ -724,7 +723,7 @@ def step_effective(e: EffectiveState, dt: float, g: Grid1D, p: Params,
     boundary mass fluxes (left, right) are the step-weighted ones.  The new
     EffectiveState is held in the workspace's spare arrays."""
     if ws is None:
-        ws = Workspace(g.cells, "effective")
+        ws = Workspace(len(e.rho), "effective")
     (rho, w), fluxes = _imex_ssp2((e.rho, e.w), e.t, dt, g, p, cfg, source,
                                   ws, 0, _implicit_diffusion, _transport)
     return EffectiveState(rho, w, e.t + dt), fluxes
@@ -833,24 +832,6 @@ def _gather(q: np.ndarray, pieces: list) -> np.ndarray:
     return np.concatenate([q[full] for full, _ in pieces])
 
 
-@dataclass(frozen=True)
-class _WindowGrid(Grid1D):
-    # cells lo..hi-1 of a grid, or as many cells gathered from it: the
-    # bounds of lo..hi-1, and the grid's dx bit for bit, which (x_max -
-    # x_min) / cells need not reproduce
-    step: float = math.nan
-
-    @property
-    def dx(self) -> float:
-        return self.step
-
-
-def _window_grid(g: Grid1D, lo: int, hi: int) -> Grid1D:
-    # the grid of cells lo..hi-1 of g
-    return _WindowGrid(g.x_min + lo * g.dx, g.x_min + hi * g.dx, hi - lo,
-                       g.dx)
-
-
 def _exp(x: float) -> float:
     # math.exp, inf where it overflows
     try:
@@ -872,10 +853,12 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     within the reach of the coming step of a face between unequal states or
     a moving one (`_window`): a few intervals, which only grow.  The steps
     run on those cells gathered side by side, one stepper call and one
-    `cfl_dt` call per step; two neighbours there meet inside a constant run
-    at rest, so their face is that of two equal rest cells, and the new
-    values go back to their cells.  The other cells keep their values bit
-    for bit (the initial data's Gaussians are exactly 0 in the far field).
+    `cfl_dt` call per step, with the run's grid and workspace (a step takes
+    its number of cells from the state); two neighbours there meet inside a
+    constant run at rest, so their face is that of two equal rest cells,
+    and the new values go back to their cells.  The other cells keep their
+    values bit for bit (the initial data's Gaussians are exactly 0 in the
+    far field).
     The set is the whole grid on a periodic grid, with a source, and when
     no constant run at rest is long enough to skip or no face is active.
     Records, the mass audit and the per-step integrals read the whole
@@ -925,15 +908,13 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
                     else (State, step_primitive))
     tiny = 1e-12 * max(t_end, 1.0)
     # the steps update the cells of the intervals `stepped`, gathered side
-    # by side, with the workspace sub on the grid sub_g of their number:
-    # intervals that start empty and grow (`_window`) on a far-field grid
-    # without forcing, else the whole grid.  The state's arrays take the new
-    # values back
+    # by side: intervals that start empty and grow (`_window`) on a
+    # far-field grid without forcing, else the whole grid.  The state's
+    # arrays take the new values back
     held = (state.rho, state.w if effective else state.m)
-    n = g.cells
-    whole = (0, n)
+    whole = (0, g.cells)
     windowed = cfg.bc == "farfield" and source is None
-    stepped, sub, new = (), ws, None
+    stepped, new = (), None
 
     try:
         dt_cfl = cfl_dt(state, g, p, cfg, ws=ws)
@@ -947,17 +928,15 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
                          if windowed else whole)
                 if spans != stepped:
                     stepped, pieces = spans, _pieces(spans)
-                    cells, lo = pieces[-1][1].stop, spans[0]
-                    sub, sub_g = ((ws, g) if cells == n else (
-                        ws.window(cells), _window_grid(g, lo, lo + cells)))
+                    cells = pieces[-1][1].stop
             dt = min(dt_cfl, t_end - state.t)
             new, (f_left, f_right) = stepper(
-                cls(*(_gather(q, pieces) for q in held), state.t), dt, sub_g,
-                p, cfg, source, ws=sub)
-            dt_next = cfl_dt(new, sub_g, p, cfg, ws=sub)  # rejects non-finite
+                cls(*(_gather(q, pieces) for q in held), state.t), dt, g, p,
+                cfg, source, ws=ws)
+            dt_next = cfl_dt(new, g, p, cfg, ws=ws)  # rejects non-finite
             # accepted: the new values go to their cells
             for full, packed in pieces:
-                for q, c in zip(held, sub.spare):
+                for q, c in zip(held, ws.spare):
                     q[full] = c[packed]
             state = cls(*held, new.t)
             traj.steps += 1
@@ -965,7 +944,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
             dt_lo, dt_hi = min(dt_lo, dt_cfl), max(dt_hi, dt_cfl)
             stiff_lo = min(stiff_lo, stiffness)
             stiff_hi = max(stiff_hi, stiffness)
-            dt_cfl, stiffness = dt_next, sub.stiffness
+            dt_cfl, stiffness = dt_next, ws.stiffness
 
             # exact discrete mass balance audit (meaningless under forcing)
             mass_now = float(np.sum(state.rho)) * dx
@@ -1000,7 +979,7 @@ def run(initial: Union[State, EffectiveState], t_end: float, g: Grid1D,
     if traj.steps:
         traj.dt_min, traj.dt_max = dt_lo, dt_hi
         traj.stiffness_min, traj.stiffness_max = stiff_lo, stiff_hi
-    del ws, sub, new, rate_scratch
+    del ws, new, rate_scratch
     if traj.records[-1].t < state.t - tiny:
         record(state)
     return traj

@@ -173,7 +173,7 @@ def test_config_file_accepts_every_override_key():
     "params.mu=inf", "grid.x_max=nan", "run.t_end=nan",
     "run.record_every=-1", "study.dx_refinement=320,500",
     "study.n_sequence=0.5,inf", "scheme.limiter=superbee",
-    "run.jump_x0=100", "scenario.u0=gauss:0,0.1,0",
+    "run.jump_x0=100", "scenario.u0=gauss:0,0.1,0", "grid.x_min=-1e200",
 ])
 def test_cli_bad_value_exits_2(override, tmp_path, capsys):
     code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
@@ -181,6 +181,51 @@ def test_cli_bad_value_exits_2(override, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
     assert err.startswith(f"config error: {override.split('.')[0]}")
+
+
+@pytest.mark.parametrize("x_min, x_max", [("-1e308", "1e308"),
+                                          ("0", "1e-310")])
+def test_cli_grid_whose_dx_squared_is_not_finite_and_positive_exits_2(
+        x_min, x_max, tmp_path, capsys):
+    # dx = inf, and dx**2 = 0: the grid is rejected before the data are
+    # built, which would fail on either
+    code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
+                     "--override", "grid.cells=64",
+                     "--override", "run.t_end=0.0005",
+                     "--override", f"grid.x_min={x_min}",
+                     "--override", f"grid.x_max={x_max}"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        "config error: grid: dx**2 must be a positive finite number\n"
+
+
+def test_cli_huge_mollification_time_warns_and_runs(tmp_path):
+    # the kernel is cut at the grid's width rather than built 8 sigma wide
+    code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
+                     "--override", "grid.cells=64",
+                     "--override", "run.t_end=0.0005",
+                     "--override", "scenario.mollify_tau=1e300"])
+    assert code == EXIT_OK
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["status"] == "completed"
+    assert "mollification kernel support exceeds the domain" in \
+        summary["warnings"]
+
+
+def test_cli_built_density_below_the_vacuum_guard_exits_2(tmp_path, capsys):
+    # the mollified left edge underflows to 0: the built data fail the
+    # vacuum guard, which the run reports in summary.json
+    code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
+                     "--override", "grid.cells=64",
+                     "--override", "run.t_end=0.0005",
+                     "--override", "scenario.density_values=5e-324,1,1e-323"])
+    assert code == EXIT_VALIDATION
+    with open(tmp_path / "summary.json") as fh:
+        assert json.load(fh) == {
+            "status": "validation_error",
+            "errors": ["built density violates the vacuum guard"]}
+    assert "run failed" in capsys.readouterr().err
 
 
 def test_cli_flux_key_exits_2(tmp_path, capsys):
@@ -617,7 +662,7 @@ _E2E_VALUES = {
     "params.rho_bar": (["0.5", "1", "2", "1e200"], ["0", "inf"]),
     "params.theta": (["0", "0.25"], ["0.5"]),
     "params.n_reg": (["1", "8", "inf"], ["0.5"]),
-    "grid.x_min": (["-20", "-1", "0"], ["inf"]),
+    "grid.x_min": (["-20", "-1", "0"], ["inf", "-1e200"]),
     "grid.x_max": (["1", "20"], ["-30"]),
     "scenario.kind": (["theo1-strong-coupling", "corbis-weak-coupling",
                        "theo2-constant-visc", "hoff-L2-velocity", "custom"],
@@ -641,6 +686,19 @@ _E2E_VALUES = {
     "study.n_sequence": (["8,inf", "4,16,inf"], ["0.5,inf", "x"]),
 }
 _STUDY_FILES = {"study-dx": "study_dx.json", "study-n": "study_n.json"}
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for table in (_BOUNDED, _E2E_VALUES)
+    for key, (_, invalid) in table.items() for value in invalid])
+def test_cli_each_invalid_value_alone_exits_2(key, value, tmp_path):
+    # the tables' invalid values are rejected, each on its own, not merely
+    # ended in some documented code
+    mapping = {"grid.cells": "64", "run.t_end": "0.0005", key: value}
+    argv = ["run", "--preset", "theo1", "--out", str(tmp_path)]
+    for item in mapping.items():
+        argv += ["--override", "=".join(item)]
+    assert cli.main(argv) == EXIT_VALIDATION
 
 
 @st.composite

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nsvisc1d import Grid1D, Params, to_effective
+from nsvisc1d import Grid1D, Params, initdata, to_effective
 from nsvisc1d.core import centered_gradient, phi1
 from nsvisc1d.initdata import (
     DEFAULT_EPS0,
@@ -125,6 +125,36 @@ def test_mollify_clipped_flag():
     g = grid(cells=100, lo=-0.5, hi=0.5)
     out = heat_mollify(np.ones(g.cells), 1.0, g)
     assert out.support_clipped
+    # a kernel 8 sigma wide would not fit in memory: it is cut at the
+    # grid's width, still flagged
+    huge = heat_mollify(np.ones(g.cells), 1e300, g)
+    assert huge.support_clipped
+    np.testing.assert_allclose(huge.values, 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("cells, tau", [(800, 1e-3), (800, 0.05),
+                                        (300, 2.0), (64, 1e300)])
+def test_mollify_matches_the_full_convolution_bit_for_bit(cells, tau):
+    # outputs whose window holds only +0 are left at 0 unconvolved; every
+    # output keeps the bytes of the full edge-padded convolution, with NaN,
+    # -0 and nonzero edges among the data
+    g = grid(cells)
+    w = initdata._kernel(tau, g.dx, cells)
+    half = (len(w) - 1) // 2
+    rng = np.random.default_rng(cells)
+    for trial in range(20):
+        data = np.zeros(cells)
+        for _ in range(trial % 4):
+            lo = rng.integers(cells)
+            hi = min(lo + rng.integers(1, 60), cells)
+            data[lo:hi] = rng.standard_normal(hi - lo) \
+                * 10.0 ** rng.uniform(-100, 100)
+        spot = rng.integers(cells)
+        data[spot] = (data[spot], np.nan, -0.0, 1.5)[trial % 4]
+        if trial % 5 == 0:
+            data[0 if trial % 10 else -1] = rng.standard_normal()
+        full = np.convolve(np.pad(data, half, mode="edge"), w, mode="valid")
+        assert heat_mollify(data, tau, g).values.tobytes() == full.tobytes()
 
 
 def test_dirac_momentum_mass_and_peak():

@@ -53,6 +53,8 @@ def test_scheme_config_validation():
         SchemeConfig(flux="rusanov")  # the primitive flux is Rusanov alone
     with pytest.raises(ValueError):
         SchemeConfig(bc="reflecting")
+    with pytest.raises(ValueError, match="max_steps"):
+        SchemeConfig(max_steps=-1)
     assert SchemeConfig().floor(Params()) == pytest.approx(1e-8)
     assert SchemeConfig().floor(Params(rho_bar=3.0)) == pytest.approx(3e-8)
 
@@ -426,9 +428,9 @@ def hand_run(initial, t_end, g, p, cfg, record_every, windowed=True):
     """run() replayed with the public steppers and diagnostics, each called
     without a workspace, and cfl_dt with a fresh one (for the step's
     stiffness); the steps update the cells of run's intervals
-    (`solver._window`), gathered side by side, unless `windowed` is false,
-    when they update the whole grid.  Returns (snapshots, steps, mass
-    audit, the CFL step of every step taken)."""
+    (`solver._window`), gathered side by side, on the grid g, unless
+    `windowed` is false, when they update the whole grid.  Returns
+    (snapshots, steps, mass audit, the CFL step of every step taken)."""
     effective = cfg.formulation == "effective"
     cls, stepper = ((EffectiveState, step_effective) if effective
                     else (State, step_primitive))
@@ -451,9 +453,9 @@ def hand_run(initial, t_end, g, p, cfg, record_every, windowed=True):
             sv, w, g, p, cfg.bc, gronwall_rhs=base * math.exp(3.0 * gron),
             dissipation_bd=diss), base))
 
-    def cfl(s, grid):
-        ws = solver.Workspace(grid.cells, cfg.formulation)
-        return cfl_dt(s, grid, p, cfg, ws=ws), ws.stiffness
+    def cfl(s):
+        ws = solver.Workspace(len(s.rho), cfg.formulation)
+        return cfl_dt(s, g, p, cfg, ws=ws), ws.stiffness
 
     def fields(s):
         return s.rho, s.w if effective else s.m
@@ -462,21 +464,18 @@ def hand_run(initial, t_end, g, p, cfg, record_every, windowed=True):
     bounds = () if windowed and cfg.bc == "farfield" else (0, n)
     snap()
     next_record = record_every
-    dt_cfl, stiffness = cfl(state, g)
+    dt_cfl, stiffness = cfl(state)
     while state.t < t_end - tiny:
         if bounds != (0, n):
             bounds = solver._window(*fields(state), bounds, stiffness, p,
                                     cfg, np.empty(n, dtype=bool))
         cells = np.concatenate([np.arange(lo, hi) for lo, hi in
                                 zip(bounds[::2], bounds[1::2])])
-        sub_g = (g if len(cells) == n else
-                 solver._window_grid(g, bounds[0], bounds[0] + len(cells)))
         dt = min(dt_cfl, t_end - state.t)
         new, (f_left, f_right) = stepper(
-            cls(*(f[cells] for f in fields(state)), state.t), dt, sub_g, p,
-            cfg)
+            cls(*(f[cells] for f in fields(state)), state.t), dt, g, p, cfg)
         dts.append(dt_cfl)
-        dt_cfl, stiffness = cfl(new, sub_g)
+        dt_cfl, stiffness = cfl(new)
         rho, mom = (f.copy() for f in fields(state))
         rho[cells], mom[cells] = fields(new)
         state = cls(rho, mom, new.t)
@@ -522,6 +521,37 @@ def test_run_matches_hand_loop_without_workspace(formulation, bc, limiter):
         [_bytes(s) for s, _ in snaps]
     assert traj.records == [r for _, r in snaps]
     assert (traj.mass_error_max, traj.mass_error_accum) == audit
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_steps_on_fewer_cells_use_the_start_of_a_larger_workspace(
+        formulation):
+    # a step and cfl_dt take their number of cells from the state: on 72 of
+    # a grid's 128 cells, the grid's own workspace, its rows full of NaN,
+    # gives the bytes of a workspace of 72 cells and of none
+    g = Grid1D(-10.0, 10.0, 128)
+    p = Params()
+    cfg = SchemeConfig(formulation=formulation)
+    whole = initial_state(build_scenario(preset_scenario("theo1"), g), g, p,
+                          cfg)
+    if formulation == "effective":
+        part = EffectiveState(whole.rho[24:96], whole.w[24:96], whole.t)
+        stepper = step_effective
+    else:
+        part = State(whole.rho[24:96], whole.m[24:96], whole.t)
+        stepper = step_primitive
+    big = solver.Workspace(g.cells, formulation)
+    for row in (big.rho, big.mom, *big.tmp, *big.spare):
+        row.fill(np.nan)
+    small = solver.Workspace(72, formulation)
+    results = []
+    for ws in (big, small, None):
+        dt = cfl_dt(part, g, p, cfg, ws=ws)
+        new, fluxes = stepper(part, dt, g, p, cfg, ws=ws)
+        results.append((dt, _bytes(new), fluxes))
+    assert len(results[0][1][0]) == 72 * 8
+    assert results[0] == results[1] == results[2]
+    assert big.stiffness == small.stiffness
 
 
 def _spy_windows(monkeypatch):
@@ -659,19 +689,6 @@ def test_moving_and_edge_runs_are_stepped():
     rho[:300] = 1.0
     assert solver._window(rho, m, (), 10.0, p, cfg, mask) == (456, 544, 856,
                                                              944)
-
-
-@pytest.mark.parametrize("cells", [300, 1000, 4097])
-def test_window_grid_keeps_dx_bit_for_bit(cells):
-    # (x_max - x_min) / cells of a window's own bounds is often not the
-    # grid's dx, whose quotient the steps must reproduce exactly
-    g = Grid1D(-20.0, 20.0 + 1.0 / 3.0, cells)
-    for lo in range(0, cells - 8, 8):
-        for hi in (lo + 8, min(lo + 200, cells), cells):
-            sub = solver._window_grid(g, lo, hi)
-            assert sub.cells == hi - lo and sub.dx == g.dx
-            np.testing.assert_allclose(sub.centers(), g.centers()[lo:hi],
-                                       rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
