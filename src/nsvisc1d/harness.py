@@ -51,8 +51,11 @@ class StudySpec:
             raise ValueError("dx_refinement cell counts must be at least 4 "
                              "and strictly increasing, each a multiple of "
                              "the one before")
-        if not all(n == math.inf or n >= 1 for n in self.n_sequence):
-            raise ValueError("n_sequence entries must be >= 1 or inf")
+        ns = self.n_sequence
+        if ns and not (ns[0] >= 1 and ns[-1] == math.inf and all(
+                coarse < fine for coarse, fine in zip(ns, ns[1:]))):
+            raise ValueError("n_sequence entries must be at least 1 and "
+                             "strictly increasing, ending with inf")
 
 
 @dataclass(frozen=True)
@@ -362,21 +365,6 @@ def run_scenario(cfg: RunConfig, out_dir: str) -> int:
 # studies
 
 
-def _run_members(cfgs: list, labels: list) -> list:
-    """Validate every member's scenario, then simulate each config in input
-    order on the calling thread.  Raises ConfigError naming each invalid
-    member before any member runs."""
-    errors = []
-    for label, member in zip(labels, cfgs):
-        try:
-            member.scenario.validate()
-        except ScenarioValidationError as exc:
-            errors += [f"study member {label}: {v}" for v in exc.violations]
-    if errors:
-        raise ConfigError(errors)
-    return [simulate(member) for member in cfgs]
-
-
 @dataclass
 class StudyRow:
     label: str
@@ -390,87 +378,79 @@ class StudyRow:
     status: str  # the member's Trajectory.status
 
 
-def _study_row(label: str, cfg: RunConfig, traj: Trajectory,
-               dist: float | None, order: float | None = None) -> StudyRow:
-    return StudyRow(
-        label=label, cells=cfg.grid.cells, dx=cfg.grid.dx,
-        l1_distance=dist, observed_order=order,
-        h1_phi1_initial=traj.records[0].h1_phi1,
-        h1_phi1_final=traj.records[-1].h1_phi1,
-        verdicts=verdicts_for(traj, cfg), status=traj.status)
-
-
-def refinement_study(cfg: RunConfig):
-    """Run the scenario across study.dx_refinement cell counts and report the
-    Cauchy L1 density distances at t_end plus observed orders."""
-    if not cfg.study.dx_refinement:
-        raise ConfigError(["study.dx_refinement is required"])
-    cfgs = [replace(cfg, grid=replace(cfg.grid, cells=cells),
-                    study=StudySpec())
-            for cells in cfg.study.dx_refinement]
-    trajs = _run_members(cfgs, [str(c.grid.cells) for c in cfgs])
-
+def _sequence_study(members: list, refs: list) -> list:
+    """Validate every `(label, RunConfig)` member, raising a ConfigError that
+    names each invalid one, then run them in order on the calling thread.
+    Row k's l1_distance is the L1 density distance at t_end to member
+    refs[k] (None: no reference), projected with np.repeat onto its cells."""
+    errors = []
+    for label, member in members:
+        try:
+            member.scenario.validate()
+        except ScenarioValidationError as exc:
+            errors += [f"study member {label}: {v}" for v in exc.violations]
+    if errors:
+        raise ConfigError(errors)
+    trajs = [simulate(member) for _, member in members]
     rows = []
-    dists = []
-    for k, (rcfg, traj) in enumerate(zip(cfgs, trajs)):
-        cells = rcfg.grid.cells
+    for (label, member), traj, ref in zip(members, trajs, refs):
         dist = None
-        if k > 0:
-            fine = traj.final_state.rho
-            # StudySpec makes the cell counts nest
-            coarse = np.repeat(trajs[k - 1].final_state.rho,
-                               cells // cfgs[k - 1].grid.cells)
-            dist = float(np.sum(np.abs(fine - coarse)) * rcfg.grid.dx)
-        dists.append(dist)
-        order = None
-        if k > 1 and dists[k - 1] and dist:
-            order = math.log2(dists[k - 1] / dist)
-        rows.append(_study_row(str(cells), rcfg, traj, dist, order))
-    _attach_probe_trend(rows)
+        if ref is not None:
+            ref_rho = trajs[ref].final_state.rho  # StudySpec nests the cells
+            projected = np.repeat(ref_rho, member.grid.cells // ref_rho.size)
+            dist = float(np.sum(np.abs(traj.final_state.rho - projected))
+                         * member.grid.dx)
+        rows.append(StudyRow(
+            label=label, cells=member.grid.cells, dx=member.grid.dx,
+            l1_distance=dist, observed_order=None,
+            h1_phi1_initial=traj.records[0].h1_phi1,
+            h1_phi1_final=traj.records[-1].h1_phi1,
+            verdicts=verdicts_for(traj, member), status=traj.status))
     return rows
 
 
-def _attach_probe_trend(rows) -> None:
+def refinement_study(cfg: RunConfig):
+    """Run the scenario at each study.dx_refinement cell count; each member
+    after the first reports its Cauchy L1 density distance at t_end to the
+    member before it, each after the second the observed order log2 of the
+    distance before over its own, and every member the trend of h1_phi1 at
+    t_end over the last two members as its regularization_probe verdict."""
+    if not cfg.study.dx_refinement:
+        raise ConfigError(["study.dx_refinement is required"])
+    members = [(str(cells), replace(cfg, grid=replace(cfg.grid, cells=cells),
+                                    study=StudySpec()))
+               for cells in cfg.study.dx_refinement]
+    rows = _sequence_study(members, [None, *range(len(members) - 1)])
+    for prev, row in zip(rows[1:], rows[2:]):
+        if prev.l1_distance and row.l1_distance:
+            row.observed_order = math.log2(prev.l1_distance / row.l1_distance)
     # regularization probe: does h1_phi1 at t_end settle or keep growing
     # under refinement?
-    if len(rows) < 2:
-        return
-    finals = [r.h1_phi1_final for r in rows]
-    ratio = finals[-1] / finals[-2] if finals[-2] else math.inf
-    trend = "persistent" if ratio >= 1.1 else "converged"
-    for r in rows:
-        r.verdicts = dict(r.verdicts)
-        r.verdicts["regularization_probe"] = trend
+    if len(rows) > 1:
+        last, before = rows[-1].h1_phi1_final, rows[-2].h1_phi1_final
+        ratio = last / before if before else math.inf
+        for row in rows:
+            row.verdicts["regularization_probe"] = (
+                "persistent" if ratio >= 1.1 else "converged")
+    return rows
 
 
 def n_sequence_study(cfg: RunConfig):
-    """Re-run the scenario for each regularization index n (viscosity term
-    rho**theta/n and mollification time 1/n) at fixed dx; reports the L1
-    density distance of each run to the n = inf member at t_end."""
+    """Run the scenario at fixed dx for each regularization index n of
+    study.n_sequence (viscosity term rho**theta/n, mollification time 1/n);
+    each member before the last reports its L1 density distance at t_end
+    to the last one, n = inf."""
     if not cfg.study.n_sequence:
         raise ConfigError(["study.n_sequence is required"])
-    cfgs = []
+    members = []
     for n in cfg.study.n_sequence:
         params = replace(cfg.scenario.params, n_reg=n)
         tau = 0.0 if math.isinf(n) else 1.0 / n
         scen = replace(cfg.scenario, params=params, mollify_tau=tau)
-        cfgs.append(replace(cfg, scenario=scen, study=StudySpec()))
-    labels = ["inf" if math.isinf(n) else f"{n:g}"
-              for n in cfg.study.n_sequence]
-    trajs = _run_members(cfgs, labels)
-
-    ref = None
-    for rcfg, traj in zip(cfgs, trajs):
-        if math.isinf(rcfg.scenario.params.n_reg):
-            ref = traj.final_state.rho
-    rows = []
-    for label, rcfg, traj in zip(labels, cfgs, trajs):
-        dist = None
-        if ref is not None and not math.isinf(rcfg.scenario.params.n_reg):
-            dist = float(np.sum(np.abs(traj.final_state.rho - ref))
-                         * rcfg.grid.dx)
-        rows.append(_study_row(label, rcfg, traj, dist))
-    return rows
+        members.append(("inf" if math.isinf(n) else f"{n:g}",
+                        replace(cfg, scenario=scen, study=StudySpec())))
+    last = len(members) - 1
+    return _sequence_study(members, [last] * last + [None])
 
 
 def write_study(rows, out_dir: str, name: str) -> None:

@@ -412,18 +412,36 @@ def test_refinement_study_rows_and_probe():
     assert trends <= {"converged", "persistent"} and len(trends) == 1
 
 
-def test_refinement_study_matches_solo_runs():
-    # the study gives the distance of two solo runs, bit for bit
-    cfg = small_cfg(**{"study.dx_refinement": "320,640"})
-    rows = refinement_study(cfg)
-    coarse_cfg = replace(cfg, study=StudySpec())
-    fine_cfg = replace(coarse_cfg, grid=replace(cfg.grid, cells=640))
-    coarse = simulate(coarse_cfg).final_state.rho
-    fine = simulate(fine_cfg).final_state.rho
-    dist = float(np.sum(np.abs(fine - np.repeat(coarse, 2)))
-                 * fine_cfg.grid.dx)
-    assert [r.label for r in rows] == ["320", "640"]
-    assert rows[1].l1_distance == dist
+def _solo_distance(cfg, ref_cfg):
+    rho = simulate(cfg).final_state.rho
+    ref = simulate(ref_cfg).final_state.rho
+    return float(np.sum(np.abs(rho - np.repeat(ref, rho.size // ref.size)))
+                 * cfg.grid.dx)
+
+
+@pytest.mark.parametrize("study", ["dx", "n"])
+def test_refinement_study_matches_solo_runs(study):
+    # each study gives the distances of solo runs, bit for bit: dx to the
+    # member before, n to the n = inf member
+    if study == "dx":
+        cfg = small_cfg(**{"study.dx_refinement": "320,640,1280"})
+        rows = refinement_study(cfg)
+        solo = [replace(cfg, grid=replace(cfg.grid, cells=cells),
+                        study=StudySpec()) for cells in (320, 640, 1280)]
+        d1 = _solo_distance(solo[1], solo[0])
+        d2 = _solo_distance(solo[2], solo[1])
+        assert [r.label for r in rows] == ["320", "640", "1280"]
+        assert [r.l1_distance for r in rows] == [None, d1, d2]
+        assert rows[2].observed_order == math.log2(d1 / d2)
+    else:
+        cfg = small_cfg(**{"study.n_sequence": "8,inf"})
+        rows = n_sequence_study(cfg)
+        n8, inf = (small_cfg(**{"params.n_reg": n,
+                                "scenario.mollify_tau": tau})
+                   for n, tau in ((8, 1 / 8), (math.inf, 0)))
+        assert [r.label for r in rows] == ["8", "inf"]
+        assert [r.l1_distance for r in rows] == [_solo_distance(n8, inf),
+                                                 None]
 
 
 def test_refinement_study_requires_spec():
@@ -448,6 +466,10 @@ def test_n_sequence_study_rows():
     assert [r.label for r in rows] == ["4", "16", "inf"]
     assert rows[2].l1_distance is None
     assert rows[0].l1_distance > rows[1].l1_distance > 0
+    # the observed order and the probe trend are the dx study's own
+    for row in rows:
+        assert row.observed_order is None
+        assert row.verdicts["regularization_probe"] == "not-evaluated"
 
 
 def test_write_study(tmp_path):
@@ -683,7 +705,9 @@ _E2E_VALUES = {
                          ["-1"]),
     "run.jump_x0": (["0", "0.5"], ["100"]),
     "study.dx_refinement": (["16,32", "16,32,64"], ["32,16", "x"]),
-    "study.n_sequence": (["8,inf", "4,16,inf"], ["0.5,inf", "x"]),
+    "study.n_sequence": (["8,inf", "4,16,inf"],
+                         ["0.5,inf", "x", "8,16", "16,8,inf", "inf,8",
+                          "8,8,inf"]),
 }
 _STUDY_FILES = {"study-dx": "study_dx.json", "study-n": "study_n.json"}
 
