@@ -45,17 +45,18 @@ class StudySpec:
 
     def __post_init__(self):
         cells = self.dx_refinement
-        if cells and (cells[0] < 4 or any(
+        if cells and (len(cells) < 2 or cells[0] < 4 or any(
                 fine <= coarse or fine % coarse
                 for coarse, fine in zip(cells, cells[1:]))):
-            raise ValueError("dx_refinement cell counts must be at least 4 "
-                             "and strictly increasing, each a multiple of "
-                             "the one before")
+            raise ValueError("dx_refinement takes two or more cell counts, "
+                             "at least 4 and strictly increasing, each a "
+                             "multiple of the one before")
         ns = self.n_sequence
-        if ns and not (ns[0] >= 1 and ns[-1] == math.inf and all(
-                coarse < fine for coarse, fine in zip(ns, ns[1:]))):
-            raise ValueError("n_sequence entries must be at least 1 and "
-                             "strictly increasing, ending with inf")
+        if ns and not (len(ns) >= 2 and ns[0] >= 1 and ns[-1] == math.inf
+                       and all(coarse < fine
+                               for coarse, fine in zip(ns, ns[1:]))):
+            raise ValueError("n_sequence takes two or more entries, at least "
+                             "1 and strictly increasing, ending with inf")
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,9 @@ def _profile(text: str) -> Profile:
 
 
 def _tau(text: str) -> float | None:
-    tau = None if text in ("auto", "grid") else _finite(text)
+    tau = None if text == "auto" else _finite(text)
     if tau is not None and tau < 0:
-        raise ValueError("expected auto, grid or a time >= 0")
+        raise ValueError("expected auto or a time >= 0")
     return tau
 
 
@@ -153,7 +154,6 @@ CONFIG_KEYS = {
     "scenario.mollify_tau": ("scenario", "mollify_tau", _tau),
     "scheme.formulation": ("scheme", "formulation", str),
     "scheme.cfl_safety": ("scheme", "cfl_safety", float),
-    "scheme.limiter": ("scheme", "limiter", str),
     "scheme.max_steps": ("scheme", "max_steps", int),
     "scheme.bc": ("scheme", "bc", str),
     "run.t_end": ("run", "t_end", float),
@@ -426,12 +426,11 @@ def refinement_study(cfg: RunConfig):
             row.observed_order = math.log2(prev.l1_distance / row.l1_distance)
     # regularization probe: does h1_phi1 at t_end settle or keep growing
     # under refinement?
-    if len(rows) > 1:
-        last, before = rows[-1].h1_phi1_final, rows[-2].h1_phi1_final
-        ratio = last / before if before else math.inf
-        for row in rows:
-            row.verdicts["regularization_probe"] = (
-                "persistent" if ratio >= 1.1 else "converged")
+    last, before = rows[-1].h1_phi1_final, rows[-2].h1_phi1_final
+    ratio = last / before if before else math.inf
+    for row in rows:
+        row.verdicts["regularization_probe"] = (
+            "persistent" if ratio >= 1.1 else "converged")
     return rows
 
 

@@ -23,11 +23,12 @@ face weights frozen at the stage's starting density and then at the first
 solution (`_implicit_diffusion`).
 
 The parts share one frame: pad the state (`_pad2`), reconstruct the faces
-(`_faces`), the upwind face flux of the convection of w (`_upwind`),
-harmonic face means of the viscosity or diffusivity (`_harmonic_mean`), the
-implicit solve for an increment (`_solve_increment`) and its face flux
-(`_gradient_flux`, or `_face_flux` with the fitted weights of
-`_fitted_faces`), the conservative update (`_update`), sources and cell
+from MUSCL slopes with the monotonized-central (MC) limiter (van Leer 1977,
+`_slopes`, `_faces`), the upwind face flux of the convection of w
+(`_upwind`), harmonic face means of the viscosity or diffusivity
+(`_harmonic_mean`), the implicit solve for an increment (`_solve_increment`)
+and its face flux (`_gradient_flux`, or `_face_flux` with the fitted weights
+of `_fitted_faces`), the conservative update (`_update`), sources and cell
 rates (`_add_source`) and the vacuum floor (`_check_floor`).
 The cell velocities v = w/rho and u = v - d_x phi(rho) of an effective
 state have one definition (`_velocities`), shared by `cfl_dt` and the
@@ -70,7 +71,6 @@ Source = Optional[Callable[[np.ndarray, float], tuple]]
 class SchemeConfig:
     formulation: str = "primitive"   # "primitive" | "effective"
     cfl_safety: float = 0.4
-    limiter: str = "mc"              # "mc" | "minmod" | "none"
     max_steps: int = 5_000_000
     bc: str = "farfield"             # "farfield" | "periodic"
 
@@ -81,8 +81,6 @@ class SchemeConfig:
             raise ValueError("max_steps must be nonnegative")
         if self.formulation not in ("primitive", "effective"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
-        if self.limiter not in ("mc", "minmod", "none"):
-            raise ValueError(f"unknown limiter {self.limiter!r}")
         if self.bc not in ("farfield", "periodic"):
             raise ValueError(f"unknown bc {self.bc!r}")
 
@@ -203,29 +201,21 @@ def cfl_dt(s: Union[State, EffectiveState], g: Grid1D, p: Params,
     return cfg.cfl_safety * float(adv)
 
 
-def _slopes(q: np.ndarray, limiter: str, a, b, c, d, mask) -> np.ndarray:
-    # limited slope for cells 1..len(q)-2 of a padded array, written into a;
-    # b, c, d and mask are scratch.  SchemeConfig admits only "none",
-    # "minmod" and "mc"
+def _slopes(q: np.ndarray, a, b, c, d, mask) -> np.ndarray:
+    # monotonized-central (MC) limited slope for cells 1..len(q)-2 of a
+    # padded array, written into a; b, c, d and mask are scratch
     n = len(q) - 2
     a, b, c, d, mask = a[:n], b[:n], c[:n], d[:n], mask[:n]
     dm = np.subtract(q[1:-1], q[:-2], out=a)
     dp = np.subtract(q[2:], q[1:-1], out=b)
-    if limiter == "none":
-        dm += dp
-        dm *= 0.5
-        return dm
     np.greater(np.multiply(dm, dp, out=c), 0.0, out=mask)
     mag = np.abs(dm, out=c)
-    if limiter == "minmod":
-        np.minimum(mag, np.abs(dp, out=d), out=mag)
-    else:
-        mag *= 2.0
-        np.minimum(mag, np.multiply(np.abs(dp, out=d), 2.0, out=d), out=mag)
-        half_sum = np.add(dm, dp, out=d)
-        np.abs(half_sum, out=half_sum)
-        half_sum *= 0.5
-        np.minimum(mag, half_sum, out=mag)
+    mag *= 2.0
+    np.minimum(mag, np.multiply(np.abs(dp, out=d), 2.0, out=d), out=mag)
+    half_sum = np.add(dm, dp, out=d)
+    np.abs(half_sum, out=half_sum)
+    half_sum *= 0.5
+    np.minimum(mag, half_sum, out=mag)
     signed = np.sign(dm, out=b)
     signed *= mag
     return _select(mask, signed, 0.0, out=a)
@@ -238,12 +228,12 @@ def _select(mask, x, y, out):
     return out
 
 
-def _faces(q: np.ndarray, limiter: str, qL, qR, a, b, mask):
+def _faces(q: np.ndarray, qL, qR, a, b, mask):
     # left/right interface states for the cells-1 .. cells interfaces of a
     # width-2 padded array, written into qL and qR (arrays of length
     # len(q)-3); a, b and mask are scratch
     n = len(q) - 3
-    half = _slopes(q, limiter, a, b, qL, qR, mask)
+    half = _slopes(q, a, b, qL, qR, mask)
     half *= 0.5
     return (np.add(q[1:-2], half[:-1], out=qL[:n]),
             np.subtract(q[2:-1], half[1:], out=qR[:n]))
@@ -311,8 +301,8 @@ def _primitive_flux(rho, m, g: Grid1D, p: Params, cfg: SchemeConfig,
     # tmp[0..4]
     nf = len(rho) - 3
     t = ws.tmp
-    rhoL, rhoR = _faces(rho, cfg.limiter, t[0], t[1], t[2], t[3], ws.mask)
-    mL, mR = _faces(m, cfg.limiter, out_mass, t[4], t[2], t[3], ws.mask)
+    rhoL, rhoR = _faces(rho, t[0], t[1], t[2], t[3], ws.mask)
+    mL, mR = _faces(m, out_mass, t[4], t[2], t[3], ws.mask)
     a, y, z = t[2][:nf], out_mom[:nf], t[3][:nf]
     # 0.5 * the larger wave speed |u| + c of the two sides, into a
     half_smax = np.abs(np.divide(mL, rhoL, out=a), out=a)
@@ -517,7 +507,7 @@ def _transport(rho, w, g: Grid1D, p: Params, cfg: SchemeConfig,
     t = ws.tmp
     _, u_ext = _velocities(rho, w, g, p, t[0][:n + 4], t[5][:n + 4],
                            t[1][:n + 4])
-    wL, wR = _faces(w, cfg.limiter, t[3], t[4], t[0], t[1], ws.mask)
+    wL, wR = _faces(w, t[3], t[4], t[0], t[1], ws.mask)
     ubar = np.add(u_ext[:-1], u_ext[1:], out=t[0][:nf])
     ubar *= 0.5
     _upwind(ubar, wL, wR, out[:nf], ws.mask)

@@ -1,10 +1,12 @@
-"""Tests for the comparison of two files written by tools/fingerprint.py, on
-small hand-written files: no runs."""
+"""Tests for tools/fingerprint.py without runs: the comparison of two files it
+writes, on small hand-written files, and the config keys of its sweep."""
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from nsvisc1d import harness
 
 _spec = importlib.util.spec_from_file_location(
     "fingerprint",
@@ -29,3 +31,12 @@ def test_compare(b, code, line, tmp_path, capsys):
     assert fingerprint.compare(str(tmp_path / "a.json"),
                                str(tmp_path / "b.json")) == code
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_sweep_sets_only_config_keys():
+    # a deleted key would only be digested as a config_error in every case
+    # that sets it, and so go unseen
+    keys = set(fingerprint.BASE)
+    for _, raw in fingerprint._cases():
+        keys |= set(raw)
+    assert keys <= set(harness.CONFIG_KEYS)

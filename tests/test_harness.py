@@ -172,8 +172,8 @@ def test_config_file_accepts_every_override_key():
     "scenario.density_values=1,a,1", "scenario.atoms=0:x", "params.mu=nan",
     "params.mu=inf", "grid.x_max=nan", "run.t_end=nan",
     "run.record_every=-1", "study.dx_refinement=320,500",
-    "study.n_sequence=0.5,inf", "scheme.limiter=superbee",
-    "run.jump_x0=100", "scenario.u0=gauss:0,0.1,0", "grid.x_min=-1e200",
+    "study.n_sequence=0.5,inf", "run.jump_x0=100",
+    "scenario.u0=gauss:0,0.1,0", "grid.x_min=-1e200",
 ])
 def test_cli_bad_value_exits_2(override, tmp_path, capsys):
     code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
@@ -228,16 +228,20 @@ def test_cli_built_density_below_the_vacuum_guard_exits_2(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
-def test_cli_flux_key_exits_2(tmp_path, capsys):
-    # the primitive flux is Rusanov alone, so scheme.flux is no key under
-    # either formulation
+@pytest.mark.parametrize("override", ["scheme.flux=rusanov",
+                                      "scheme.limiter=mc"])
+def test_cli_flux_key_exits_2(override, tmp_path, capsys):
+    # the primitive flux is Rusanov alone and the slope limiter MC alone, so
+    # neither scheme.flux nor scheme.limiter is a key under either
+    # formulation
+    key = override.split("=")[0]
     for formulation in ("primitive", "effective"):
         code = cli.main(["run", "--preset", "theo1", "--out", str(tmp_path),
                          "--override", f"scheme.formulation={formulation}",
-                         "--override", "scheme.flux=rusanov"])
+                         "--override", override])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == \
-            "config error: unknown key 'scheme.flux'\n"
+            f"config error: unknown key '{key}'\n"
 
 
 @pytest.mark.parametrize("preset, kind, unread", [
@@ -696,18 +700,17 @@ _E2E_VALUES = {
     "scenario.v0": (["zero", "gauss:0,0.1,1", "gauss:0,1e306,1"],
                     ["gauss:0,1,0"]),
     "scenario.u0": (["zero", "gauss:0,0.1,1", "gauss:0,1e306,1"], ["ramp"]),
-    "scenario.mollify_tau": (["auto", "0", "0.01"], ["-1"]),
+    "scenario.mollify_tau": (["auto", "0", "0.01"], ["-1", "grid"]),
     "scheme.formulation": (["primitive", "effective"], ["other"]),
     "scheme.cfl_safety": (["0.4", "1", "1e-9"], ["0"]),
-    "scheme.limiter": (["mc", "minmod", "none"], ["superbee"]),
     "scheme.bc": (["farfield", "periodic"], ["edge"]),
     "run.record_every": (["0", "0.001", "0.004", "1e-300", "5e-324"],
                          ["-1"]),
     "run.jump_x0": (["0", "0.5"], ["100"]),
-    "study.dx_refinement": (["16,32", "16,32,64"], ["32,16", "x"]),
+    "study.dx_refinement": (["16,32", "16,32,64"], ["32,16", "x", "64"]),
     "study.n_sequence": (["8,inf", "4,16,inf"],
                          ["0.5,inf", "x", "8,16", "16,8,inf", "inf,8",
-                          "8,8,inf"]),
+                          "8,8,inf", "inf"]),
 }
 _STUDY_FILES = {"study-dx": "study_dx.json", "study-n": "study_n.json"}
 

@@ -1,6 +1,6 @@
 """Unit tests for the time steppers: CFL control, exact structural
 properties (fixed points, translation invariance, mass balance, mirror
-symmetry), failure statuses, and the three limiters."""
+symmetry), failure statuses, and the MC-limited reconstruction."""
 import dataclasses
 import itertools
 import math
@@ -51,6 +51,8 @@ def test_scheme_config_validation():
         SchemeConfig(formulation="semi")
     with pytest.raises(TypeError):
         SchemeConfig(flux="rusanov")  # the primitive flux is Rusanov alone
+    with pytest.raises(TypeError):
+        SchemeConfig(limiter="mc")  # the slope limiter is MC alone
     with pytest.raises(ValueError):
         SchemeConfig(bc="reflecting")
     with pytest.raises(ValueError, match="max_steps"):
@@ -403,21 +405,14 @@ def test_negative_t_end_rejected():
 # scheme variants
 
 
-# the ids name the primitive flux, Rusanov
-@pytest.mark.parametrize("limiter", ["mc", "minmod", "none"],
-                         ids=lambda limiter: f"{limiter}-rusanov")
-def test_flux_limiter_variants_stay_stable(limiter):
+# the id names the slope limiter, MC, and the primitive flux, Rusanov
+@pytest.mark.parametrize("cfg", [SchemeConfig()], ids=["mc-rusanov"])
+def test_flux_limiter_variants_stay_stable(cfg):
     g, built = theo1_state(256)
-    cfg = SchemeConfig(limiter=limiter)
     traj = run(built.state, 0.005, g, Params(), cfg)
     assert traj.status == "completed"
     assert traj.mass_error_max < 1e-13
     assert traj.final_state.rho.min() > 0.5
-
-
-def test_unknown_limiter_rejected():
-    with pytest.raises(ValueError, match="limiter"):
-        SchemeConfig(limiter="superbee")
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +493,19 @@ def hand_run(initial, t_end, g, p, cfg, record_every, windowed=True):
 
 
 WORKSPACE_CASES = list(itertools.product(
-    ["primitive", "effective"], ["farfield", "periodic"],
-    ["mc", "minmod", "none"]))
+    ["primitive", "effective"], ["farfield", "periodic"]))
 
 
-# each id ends in the primitive flux, rusanov, which keeps the ids of
-# these cases stable across versions of the suite
-@pytest.mark.parametrize("formulation, bc, limiter", WORKSPACE_CASES,
-                         ids=["-".join((*case, "rusanov"))
+# each id ends in the slope limiter and the primitive flux, mc-rusanov,
+# which keeps the ids of these cases stable across versions of the suite
+@pytest.mark.parametrize("formulation, bc", WORKSPACE_CASES,
+                         ids=["-".join((*case, "mc", "rusanov"))
                               for case in WORKSPACE_CASES])
-def test_run_matches_hand_loop_without_workspace(formulation, bc, limiter):
+def test_run_matches_hand_loop_without_workspace(formulation, bc):
     g = Grid1D(-10.0, 10.0, 128)
     p = Params()
     built = build_scenario(preset_scenario("theo1"), g)
-    cfg = SchemeConfig(formulation=formulation, bc=bc, limiter=limiter)
+    cfg = SchemeConfig(formulation=formulation, bc=bc)
     initial = initial_state(built, g, p, cfg)
     traj = run(initial, 0.25, g, p, cfg, record_every=0.02)
     snaps, steps, audit, _ = hand_run(initial, 0.25, g, p, cfg, 0.02)
