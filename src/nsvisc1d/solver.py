@@ -644,8 +644,11 @@ def _imex_ssp2(y: tuple, t0: float, dt: float, g: Grid1D, p: Params,
     z = _pad2(*y, p, cfg, ws)
     inner = (z[0][2:-2], z[1][2:-2])
 
-    # stage 1: implicit at the old state, then the explicit part there
+    # stage 1: implicit at the old state, then the explicit part there; an
+    # implicit density must keep above the floor for the explicit part
     implicit(*z, k, g, p, cfg, ws, rows[j])
+    if j == 0:
+        _check_floor(inner[0], cfg, p, t0)
     own, rates = explicit(*z, g, p, cfg, ws, rows[o], t[5], t[-3])
     if source is not None:
         rates += enumerate(source(g.centers(), t0))
@@ -664,6 +667,8 @@ def _imex_ssp2(y: tuple, t0: float, dt: float, g: Grid1D, p: Params,
     fill_ghosts(z[0], 2, cfg.bc, p.rho_bar)
     fill_ghosts(z[1], 2, cfg.bc, 0.0)
     implicit(*z, k, g, p, cfg, ws, t[6])
+    if j == 0:
+        _check_floor(inner[0], cfg, p, t0)
     acc[j] += t[6][:nf]
     own, more = explicit(*z, g, p, cfg, ws, t[6], t[5], t[-4])
     acc[o] += t[6][:nf]

@@ -51,8 +51,6 @@ def test_scheme_config_validation():
         SchemeConfig(formulation="semi")
     with pytest.raises(TypeError):
         SchemeConfig(flux="rusanov")  # the primitive flux is Rusanov alone
-    with pytest.raises(TypeError):
-        SchemeConfig(limiter="mc")  # the slope limiter is MC alone
     with pytest.raises(ValueError):
         SchemeConfig(bc="reflecting")
     with pytest.raises(ValueError, match="max_steps"):
@@ -413,6 +411,12 @@ def test_flux_limiter_variants_stay_stable(cfg):
     assert traj.status == "completed"
     assert traj.mass_error_max < 1e-13
     assert traj.final_state.rho.min() > 0.5
+
+
+def test_unknown_limiter_rejected():
+    # the slope limiter is MC alone, so limiter is no SchemeConfig field
+    with pytest.raises(TypeError, match="limiter"):
+        SchemeConfig(limiter="superbee")
 
 
 # ---------------------------------------------------------------------------
